@@ -33,36 +33,33 @@ from .sexpr import (
     print_point,
     print_set,
 )
-from .space import discrete, point_leq, typecheck
+from .space import SpaceError, discrete, point_leq, typecheck
 
 
 class DomainError(ValueError):
     pass
 
 
-def _expander(name: str, alphabet: str, alpha: str):
-    base = discrete(*alphabet.split())
-    if name == "div":
-        return E.NatShiftExpander()
-    if name == "baditer":
-        return E.PrefixExpander(base)
-    if name == "subword":
-        return E.SubwordExpander(base)
-    if name == "tree":
-        return E.TreeExpander(base)
-    if name == "ordsubword":
-        return E.OrdinalSubwordExpander(base, parse_ordinal(alpha))
-    if name == "ordtree":
-        return E.OrdinalTreeExpander(base, parse_ordinal(alpha))
-    if name == "unfold-words":
-        return I.UnfoldExpander(I.words_functor(base))
-    if name == "unfold-trees":
-        return I.UnfoldExpander(I.trees_functor(base))
-    raise DomainError("unknown expander %r" % name)
+# Expander name -> constructor from the base alphabet and the ordinal text.
+EXPANDERS = {
+    "div": lambda base, alpha: E.NatShiftExpander(),
+    "baditer": lambda base, alpha: E.PrefixExpander(base),
+    "subword": lambda base, alpha: E.SubwordExpander(base),
+    "tree": lambda base, alpha: E.TreeExpander(base),
+    "ordsubword": lambda base, alpha: E.OrdinalSubwordExpander(
+        base, parse_ordinal(alpha)),
+    "ordtree": lambda base, alpha: E.OrdinalTreeExpander(
+        base, parse_ordinal(alpha)),
+    "unfold-words": lambda base, alpha: I.UnfoldExpander(
+        I.words_functor(base)),
+    "unfold-trees": lambda base, alpha: I.UnfoldExpander(
+        I.trees_functor(base)),
+}
 
 
-EXPANDERS = ("div", "baditer", "subword", "tree", "ordsubword", "ordtree",
-             "unfold-words", "unfold-trees")
+def _expander(args):
+    base = discrete(*args.alphabet.split())
+    return EXPANDERS[args.expander](base, args.alpha)
 
 
 def _extent_hash(space, expr, bound: int) -> str:
@@ -130,7 +127,7 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_iterate(args) -> dict:
-    expander = _expander(args.expander, args.alphabet, args.alpha)
+    expander = _expander(args)
     bound = args.bound if args.bound is not None else S.default_bound()
     result = E.iterate(expander, args.steps, bound, cap=args.cap)
     doc = {
@@ -145,15 +142,19 @@ def cmd_iterate(args) -> dict:
             handle.write(dot)
         doc["dot_out"] = args.dot_out
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(doc, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write_json(args.json_out, doc)
         doc["json_out"] = args.json_out
     return doc
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(doc, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
 def cmd_badchain(args) -> dict:
-    expander = _expander(args.expander, args.alphabet, args.alpha)
+    expander = _expander(args)
     bound = args.bound if args.bound is not None else S.default_bound()
     chain = E.find_bad_chain(expander, args.length, bound, cap=args.cap)
     if chain is None:
@@ -193,9 +194,7 @@ def cmd_cover(args) -> dict:
     result = W.backward_coverability(system, init, targets, fuel=args.fuel)
     out = W.result_to_json(result, fuel=args.fuel)
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(out, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write_json(args.json_out, out)
     return out
 
 
@@ -207,20 +206,15 @@ def cmd_divisibility(args) -> dict:
     if args.check == "stability":
         ok = I.check_preorder_stability(functor, args.depth, size_cap)
         return {"check": "stability", "depth": args.depth, "stable": ok}
+    expander = I.UnfoldExpander(functor)
+    convert = I.mu_to_word if expander.kind == "words" else I.mu_to_tree
     if args.check == "embedding":
         table = I.DivisibilityTable(functor, args.depth, size_cap)
         universe = table.universe()
-        try:
-            base = I.word_base(functor)
-            from .space import Words
-            space, convert = Words(base), I.mu_to_word
-        except I.FunctorError:
-            base = I.tree_base(functor)
-            from .space import Trees
-            space, convert = Trees(base), I.mu_to_tree
         mismatches = sum(
             1 for x in universe for y in universe
-            if table.leq(x, y) != point_leq(space, convert(x), convert(y)))
+            if table.leq(x, y) != point_leq(expander.space, convert(x),
+                                            convert(y)))
         return {
             "check": "embedding",
             "depth": args.depth,
@@ -230,11 +224,9 @@ def cmd_divisibility(args) -> dict:
         }
     if args.check == "coincidence":
         bound = args.bound if args.bound is not None else 3
-        expander = I.UnfoldExpander(functor)
         result = E.iterate(expander, args.depth, bound)
         oracle = S.oracle_for(expander.space, bound)
         table = I.DivisibilityTable(functor, args.depth + 1, size_cap)
-        convert = I.mu_to_word if expander.kind == "words" else I.mu_to_tree
         points = {convert(m): m for m in table.universe()}
         alex = []
         for p in oracle.universe:
@@ -243,11 +235,9 @@ def cmd_divisibility(args) -> dict:
             alex.append(frozenset(
                 q for q in oracle.universe
                 if q in points and table.leq(points[p], points[q])))
-        whole = frozenset(oracle.universe)
-        stage_exts = [oracle.extent(g) for g in result.stages[-1].opens()]
-        equal = (all(S.in_generated_lattice(e, stage_exts, whole) for e in alex)
-                 and all(S.in_generated_lattice(e, alex, whole)
-                         for e in stage_exts))
+        equal = S.same_generated_lattice(
+            alex, [oracle.extent(g) for g in result.stages[-1].opens()],
+            frozenset(oracle.universe))
         return {
             "check": "coincidence",
             "depth": args.depth,
@@ -314,17 +304,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that count or bound something, and the least value each accepts.
+_MINIMUM = {"bound": 0, "steps": 0, "length": 0, "depth": 0, "fuel": 0,
+            "size_cap": 0, "cap": 1}
+
+
+def _check_ranges(args) -> None:
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise DomainError("--%s must be at least %d, got %d"
+                              % (name.replace("_", "-"), low, value))
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         doc = args.func(args)
     except (SexprError, OrdinalError) as exc:
         print(json.dumps({"error": str(exc), "kind": "syntax"}, sort_keys=True))
         return 2
-    except (DomainError, S.SetError, E.ExpanderError, I.FunctorError,
-            W.WstsError, OSError, json.JSONDecodeError, KeyError,
-            IndexError) as exc:
+    except (DomainError, S.SetError, SpaceError, E.ExpanderError,
+            I.FunctorError, W.WstsError, OSError, json.JSONDecodeError,
+            KeyError, IndexError) as exc:
         print(json.dumps({"error": str(exc), "kind": "domain"}, sort_keys=True))
         return 1
     print(json.dumps(doc, sort_keys=True))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ordinal import ZERO, Ordinal, cmp
+from .ordinal import ZERO, Ordinal, _sort_key, cmp
 from .sexpr import print_set
 from .sets import (
     BaseOpen,
@@ -38,6 +38,7 @@ from .sets import (
     open_key,
     oracle_for,
     restrict,
+    same_generated_lattice,
     TopologyDesc,
 )
 from .space import (
@@ -86,14 +87,30 @@ def trivial_stage(space: SpaceExpr) -> TopologyStage:
 
 def _letter_subbasis(base: FiniteQO) -> Tuple[BaseOpen, ...]:
     """Upward closures of single base elements (a subbasis of the base)."""
-    seen = set()
-    out = []
-    for e in base.elements:
-        names = base.up_set([e])
-        if names not in seen:
-            seen.add(names)
-            out.append(BaseOpen(names))
-    return tuple(out)
+    return tuple(BaseOpen(names) for names in
+                 dict.fromkeys(base.up_set([e]) for e in base.elements))
+
+
+def _children_menu(sources: Sequence[OpenExpr],
+                   arity_cap: int) -> List[OpenExpr]:
+    """Children patterns for subtree opens: the whole space and the letter
+    patterns <s1,...,sk> over the sources, for k up to arity_cap."""
+    menus: List[OpenExpr] = [Whole()]
+    level: List[Tuple[OpenExpr, ...]] = [()]
+    for _ in range(arity_cap):
+        level = [combo + (s,) for combo in level for s in sources]
+        menus.extend(WordOpen(combo) for combo in level)
+    return menus
+
+
+def _subword_generators(base: FiniteQO,
+                        sources: Sequence[OpenExpr]) -> List[OpenExpr]:
+    """The base letter cylinders and the upward concatenations of sources."""
+    out: List[OpenExpr] = [WordOpen((b,)) for b in _letter_subbasis(base)]
+    for u in sources:
+        for v in sources:
+            out.append(ConcatUp(u, v))
+    return out
 
 
 DEFAULT_EXPONENTS = ("1", "2", "w", "w+1", "w*2", "w^2")
@@ -160,11 +177,7 @@ class SubwordExpander:
         self.space = Words(base)
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-        out: List[OpenExpr] = [WordOpen((b,)) for b in _letter_subbasis(self.base)]
-        for u in sources:
-            for v in sources:
-                out.append(ConcatUp(u, v))
-        return out
+        return _subword_generators(self.base, sources)
 
 
 class TreeExpander:
@@ -179,13 +192,8 @@ class TreeExpander:
         self.arity_cap = arity_cap
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-        menus: List[OpenExpr] = [Whole()]
-        level = [()]
-        for _ in range(self.arity_cap):
-            level = [combo + (s,) for combo in level for s in sources]
-            menus.extend(WordOpen(combo) for combo in level)
-        return [TreeOpen(b, v)
-                for b in _letter_subbasis(self.base) for v in menus]
+        return [TreeOpen(b, v) for b in _letter_subbasis(self.base)
+                for v in _children_menu(sources, self.arity_cap)]
 
 
 class OrdinalSubwordExpander:
@@ -202,14 +210,9 @@ class OrdinalSubwordExpander:
         self.exponents = _exponent_menu(alpha, exponents)
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-        out: List[OpenExpr] = [WordOpen((b,)) for b in _letter_subbasis(self.base)]
-        for u in sources:
-            for v in sources:
-                out.append(ConcatUp(u, v))
-        for beta in self.exponents:
-            for u in sources:
-                out.append(Triangle(beta, u))
-        return out
+        return (_subword_generators(self.base, sources)
+                + [Triangle(beta, u)
+                   for beta in self.exponents for u in sources])
 
 
 class OrdinalTreeExpander:
@@ -228,11 +231,7 @@ class OrdinalTreeExpander:
         self.arity_cap = arity_cap
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-        menus: List[OpenExpr] = [Whole()]
-        level = [()]
-        for _ in range(self.arity_cap):
-            level = [combo + (s,) for combo in level for s in sources]
-            menus.extend(WordOpen(combo) for combo in level)
+        menus = _children_menu(sources, self.arity_cap)
         menus.extend(Triangle(beta, WordOpen((s,)))
                      for beta in self.exponents for s in sources)
         return [TreeOpen(b, v)
@@ -242,6 +241,24 @@ class OrdinalTreeExpander:
 # -- iteration ----------------------------------------------------------------
 
 
+def _stage_sources(stage: TopologyStage) -> List[OpenExpr]:
+    """The opens a rule is applied to: the stage's nonempty generators, with
+    the whole space among them."""
+    sources = [u for u in stage.opens() if not isinstance(u, Empty)]
+    if not any(isinstance(u, Whole) for u in sources):
+        sources.append(Whole())
+    return sources
+
+
+def _first_per_extent(opens, extent_of) -> Dict[frozenset, OpenExpr]:
+    """The first open of each distinct extent, keyed by that extent, in the
+    order the extents first appear."""
+    out: Dict[frozenset, OpenExpr] = {}
+    for u in opens:
+        out.setdefault(extent_of(u), u)
+    return out
+
+
 def apply(expander, stage: TopologyStage, bound: int,
           cap: int = DEFAULT_CAP) -> TopologyStage:
     """One refinement step: emit the rule's generators over the stage opens
@@ -249,10 +266,8 @@ def apply(expander, stage: TopologyStage, bound: int,
     if getattr(expander, "space", None) != stage.space:
         raise ExpanderError("stage space does not match the expander")
     oracle = oracle_for(stage.space, bound)
-    sources = [u for u in stage.opens() if not isinstance(u, Empty)]
-    if not any(isinstance(u, Whole) for u in sources):
-        sources.append(Whole())
-    fresh = [normalize_open(g) for g in expander.fresh_generators(sources)]
+    fresh = [normalize_open(g) for g in expander.fresh_generators(
+        _stage_sources(stage))]
     fresh = [g for g in fresh if not isinstance(g, Empty)]
     fresh = sorted({open_key(g): g for g in fresh}.items())
     seen = {oracle.extent(g) for g, _ in stage.generators}
@@ -286,24 +301,22 @@ class IterationResult:
 def iterate(expander, steps: int, bound: int,
             cap: int = DEFAULT_CAP) -> IterationResult:
     """Stages 0..steps from the trivial topology; the fixed point is reported
-    at the first step whose extent lattice equals its predecessor's."""
+    at the first step whose extent lattice equals its predecessor's.  A
+    capped step is never reported: the cap, not the rule, stopped its
+    growth."""
     stages = [trivial_stage(expander.space)]
     fixed_at: Optional[int] = None
     oracle = oracle_for(expander.space, bound)
-    for k in range(1, steps + 1):
-        stages.append(apply(expander, stages[-1], bound, cap))
-        if fixed_at is None and _lattices_equal(oracle, stages[-2].opens(),
-                                                stages[-1].opens()):
-            fixed_at = k
-    return IterationResult(stages, fixed_at, bound)
-
-
-def _lattices_equal(oracle: ExtentOracle, opens_a, opens_b) -> bool:
     whole = frozenset(oracle.universe)
-    ga = [oracle.extent(u) for u in opens_a]
-    gb = [oracle.extent(u) for u in opens_b]
-    return (all(in_generated_lattice(e, gb, whole) for e in ga)
-            and all(in_generated_lattice(e, ga, whole) for e in gb))
+    for k in range(1, steps + 1):
+        stage = apply(expander, stages[-1], bound, cap)
+        if (fixed_at is None and not stage.capped
+                and same_generated_lattice(
+                    [oracle.extent(u) for u in stages[-1].opens()],
+                    [oracle.extent(u) for u in stage.opens()], whole)):
+            fixed_at = k
+        stages.append(stage)
+    return IterationResult(stages, fixed_at, bound)
 
 
 # -- bad chains ---------------------------------------------------------------
@@ -375,9 +388,7 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
     mark = CarrierOpen(h)
     h_ext = oracle.extent(mark)
 
-    sources = [u for u in stage.opens() if not isinstance(u, Empty)]
-    if not any(isinstance(u, Whole) for u in sources):
-        sources.append(Whole())
+    sources = _stage_sources(stage)
     refined = [normalize_open(g) for g in expander.fresh_generators(sources)]
     refined_exts = [oracle.extent(g) for g in refined]
     precheck = all(
@@ -390,36 +401,25 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
     # deduplicated up front.
     restricted_sources = [normalize_open(Intersect((u, mark))) for u in sources]
     restricted_sources.append(Whole())
-    by_extent = {}
-    for u in restricted_sources:
-        by_extent.setdefault(oracle.extent(u), u)
-    restricted_sources = sorted(by_extent.values(), key=open_key)
+    restricted_sources = sorted(
+        _first_per_extent(restricted_sources, oracle.extent).values(),
+        key=open_key)
     refined_restricted = [normalize_open(g)
                           for g in expander.fresh_generators(restricted_sources)]
 
-    left = _restricted_family(oracle, refined, h_ext)
-    right = _restricted_family(oracle, refined_restricted, h_ext)
-    left_exts = [e for e, _ in left]
-    right_exts = [e for e, _ in right]
+    def cut(g):
+        return oracle.extent(g) & h_ext
+
+    left = _first_per_extent(refined, cut)
+    right = _first_per_extent(refined_restricted, cut)
     left_only = tuple((g, tuple(sorted(e, key=canonical_key)))
-                      for e, g in left
-                      if not in_generated_lattice(e, right_exts, whole))
+                      for e, g in left.items()
+                      if not in_generated_lattice(e, right.keys(), whole))
     right_only = tuple((g, tuple(sorted(e, key=canonical_key)))
-                       for e, g in right
-                       if not in_generated_lattice(e, left_exts, whole))
+                       for e, g in right.items()
+                       if not in_generated_lattice(e, left.keys(), whole))
     return RespectsReport(not left_only and not right_only,
                           left_only, right_only, bound, precheck)
-
-
-def _restricted_family(oracle, gens, h_ext):
-    out = []
-    seen = set()
-    for g in gens:
-        ext = oracle.extent(g) & h_ext
-        if ext not in seen:
-            seen.add(ext)
-            out.append((ext, g))
-    return out
 
 
 # -- per-stage lattice reports --------------------------------------------------
@@ -436,22 +436,10 @@ class StageReport:
 def _stage_nodes(stage: TopologyStage, oracle: ExtentOracle):
     """Distinct generator extents plus empty and whole, each with the first
     generator (in depth then key order) as its representative."""
-    nodes: Dict[frozenset, OpenExpr] = {
-        frozenset(): Empty(),
-        frozenset(oracle.universe): Whole(),
-    }
-    gens = sorted(stage.generators, key=lambda gd: (canonical_ordinal_key(gd[1]),
+    gens = sorted(stage.generators, key=lambda gd: (_sort_key(gd[1]),
                                                     open_key(gd[0])))
-    for g, _ in gens:
-        ext = oracle.extent(g)
-        if ext not in nodes:
-            nodes[ext] = g
-    return nodes
-
-
-def canonical_ordinal_key(a: Ordinal):
-    from .ordinal import _sort_key
-    return _sort_key(a)
+    return _first_per_extent([Empty(), Whole()] + [g for g, _ in gens],
+                             oracle.extent)
 
 
 def check_noetherian_stage(stage: TopologyStage, bound: int) -> StageReport:
@@ -518,7 +506,7 @@ def depth_of(stage: TopologyStage, u: OpenExpr, bound: int) -> Ordinal:
     oracle = oracle_for(stage.space, bound)
     target = oracle.extent(u)
     for g, d in sorted(stage.generators,
-                       key=lambda gd: canonical_ordinal_key(gd[1])):
+                       key=lambda gd: _sort_key(gd[1])):
         if oracle.extent(g) == target:
             return d
     raise ExpanderError("open not found among the stage generators")

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union as TUnion
 
-from .expanders import _letter_subbasis
+from .expanders import _children_menu, _letter_subbasis
 from .sets import (
     OpenExpr,
     PrefixConcat,
     TreeOpen,
     UpSubstructure,
     Whole,
-    WordOpen,
 )
 from .space import (
     FiniteQO,
@@ -475,20 +474,12 @@ def div_exp_generators(f: FunctorExpr, sources: Sequence[OpenExpr],
     one-step image of each subbasic open of the lifted topology."""
     try:
         base = word_base(f)
-        out: List[OpenExpr] = [Whole()]  # image of the nil summand
-        for b in _letter_subbasis(base):
-            for v in sources:
-                out.append(UpSubstructure(PrefixConcat(b, v)))
-        return out
     except FunctorError:
-        pass
-    base = tree_base(f)
-    menus: List[OpenExpr] = [Whole()]
-    level: List[Tuple[OpenExpr, ...]] = [()]
-    for _ in range(arity_cap):
-        level = [combo + (s,) for combo in level for s in sources]
-        menus.extend(WordOpen(combo) for combo in level)
-    return [TreeOpen(b, v) for b in _letter_subbasis(base) for v in menus]
+        return [TreeOpen(b, v) for b in _letter_subbasis(tree_base(f))
+                for v in _children_menu(sources, arity_cap)]
+    # Whole is the image of the nil summand.
+    return [Whole()] + [UpSubstructure(PrefixConcat(b, v))
+                        for b in _letter_subbasis(base) for v in sources]
 
 
 # -- textual functor grammar --------------------------------------------------

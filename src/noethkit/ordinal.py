@@ -13,7 +13,7 @@ removing a prefix form a small finite set, computable from the CNF of b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 
 class OrdinalError(ValueError):
@@ -68,9 +68,6 @@ class Ordinal:
 
     def is_successor(self) -> bool:
         return bool(self.terms) and self.terms[-1][0].is_zero()
-
-    def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero()
 
     def predecessor(self) -> "Ordinal":
         """The b with self = b + 1; defined only for successors."""
@@ -382,8 +379,3 @@ def to_json(a: Ordinal):
 
 def from_json(data) -> Ordinal:
     return Ordinal(tuple((from_json(exp), int(coeff)) for exp, coeff in data))
-
-
-def iter_down(values) -> Iterator[Ordinal]:
-    """Sort a collection of ordinals in decreasing order."""
-    return iter(sorted(values, key=_sort_key, reverse=True))

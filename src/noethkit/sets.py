@@ -7,11 +7,12 @@ prefix cylinders (the non-up-closed opens of the prefix topology).  Closed
 expressions cover downward closures, complements, and ordinal products of
 F^{<b} / F^{<=1} atoms.
 
-Membership is exact structural recursion.  The universal fallback oracle is
-`extent`: filter an enumerated finite universe by membership.  `includes`
-is three-valued, with two exact fragments (unions of upward closures, and
-the letter-pattern inclusion rule) and an extent fallback that records its
-bound.
+Membership is structural recursion, exact except for ConcatUp on ordinal
+words with infinite runs (see space.ow_cut_pairs).  The universal fallback
+oracle is `extent`: filter an enumerated finite universe by membership.
+`includes` is three-valued, with two exact fragments (unions of upward
+closures, and the letter-pattern inclusion rule) and an extent fallback
+that records its bound.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple, Union as TUnion
 
-from .ordinal import (ONE, ZERO, Ordinal, add, classify, cmp, left_subtract,
-                      limit_finite_split, right_parts)
+from .ordinal import (ONE, ZERO, Ordinal, _sort_key, add, classify, cmp,
+                      left_subtract, limit_finite_split, minimal_left,
+                      right_parts)
 from .space import (
     Atom,
     FiniteQO,
@@ -60,7 +62,11 @@ class RewriteShapeError(SetError):
 
 
 def default_bound() -> int:
-    return int(os.environ.get("NOETHKIT_ORACLE_BOUND", "4"))
+    text = os.environ.get("NOETHKIT_ORACLE_BOUND", "4")
+    if not text.strip().isdigit():
+        raise SetError("NOETHKIT_ORACLE_BOUND must be a non-negative integer, "
+                       "got %r" % text)
+    return int(text)
 
 
 # -- open expressions ---------------------------------------------------------
@@ -367,19 +373,14 @@ def _member_concat_up(space, p, u: ConcatUp) -> bool:
 
 def _member_tree_open(space, p, u: TreeOpen) -> bool:
     if isinstance(space, Trees) and isinstance(p, TreeNode):
-        for sub in _substructures(space, p):
-            if (_member(space.base, sub.label, u.root_open)
-                    and _member(Words(space), Word(sub.children), u.children_open)):
-                return True
-        return False
-    if isinstance(space, OrdTrees) and isinstance(p, OrdTreeNode):
-        for sub in _substructures(space, p):
-            if (_member(space.base, sub.label, u.root_open)
-                    and _member(OrdWords(space, space.alpha), sub.children,
-                                u.children_open)):
-                return True
-        return False
-    raise SetError("TreeOpen needs a tree point")
+        kids_space, kids = Words(space), lambda t: Word(t.children)
+    elif isinstance(space, OrdTrees) and isinstance(p, OrdTreeNode):
+        kids_space, kids = OrdWords(space, space.alpha), lambda t: t.children
+    else:
+        raise SetError("TreeOpen needs a tree point")
+    return any(_member(space.base, sub.label, u.root_open)
+               and _member(kids_space, kids(sub), u.children_open)
+               for sub in _substructures(space, p))
 
 
 def _member_rtimes(space, p, u: RTimes) -> bool:
@@ -415,22 +416,12 @@ def _substructures(space, p):
     if isinstance(p, Word):
         return tuple(Word(p.letters[i:]) for i in range(len(p.letters) + 1))
     if isinstance(p, OrdWord):
-        out = []
-        seen = set()
-        for i in range(len(p.segments) + 1):
-            s = OrdWord(p.segments[i:])
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
+        out = [OrdWord(p.segments[i:]) for i in range(len(p.segments) + 1)]
         for i, (letter, count) in enumerate(p.segments):
-            for rem in right_parts(count):
-                if rem.is_zero() or rem == count:
-                    continue
-                s = OrdWord(((letter, rem),) + p.segments[i + 1:])
-                if s not in seen:
-                    seen.add(s)
-                    out.append(s)
-        return tuple(out)
+            out.extend(OrdWord(((letter, rem),) + p.segments[i + 1:])
+                       for rem in right_parts(count)
+                       if not rem.is_zero() and rem != count)
+        return tuple(dict.fromkeys(out))
     if isinstance(p, TreeNode):
         out = [p]
         for c in p.children:
@@ -523,18 +514,13 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
         for rem in right_parts(remaining):
             if rem == remaining or rem.is_zero():
                 continue
-            taken = _minimal_complement(rem, remaining)
+            taken = minimal_left(rem, remaining)
             if cmp(add(used, taken), atom.beta) < 0 and match(ai + 1, si, rem):
                 return True
         return False
 
     si0, rem0 = seg_state(0)
     return match(0, si0, rem0)
-
-
-def _minimal_complement(rem: Ordinal, total: Ordinal) -> Ordinal:
-    from .ordinal import minimal_left
-    return minimal_left(rem, total)
 
 
 # -- normalization and canonical form ----------------------------------------
@@ -560,7 +546,6 @@ def _norm_key(u):
     if isinstance(u, TreeOpen):
         return ("TreeOpen", _norm_key(u.root_open), _norm_key(u.children_open))
     if isinstance(u, Triangle):
-        from .ordinal import _sort_key
         return ("Triangle", _sort_key(u.beta), _norm_key(u.inner))
     if isinstance(u, RTimes):
         return ("RTimes", _norm_key(u.closed), _norm_key(u.inner))
@@ -575,7 +560,6 @@ def _norm_key(u):
     if isinstance(u, AtMostOne):
         return ("AtMostOne", _norm_key(u.closed))
     if isinstance(u, Power):
-        from .ordinal import _sort_key
         return ("Power", _norm_key(u.closed), _sort_key(u.beta))
     if isinstance(u, OrdProduct):
         return ("OrdProduct", tuple(_norm_key(a) for a in u.atoms))
@@ -583,40 +567,26 @@ def _norm_key(u):
 
 
 def normalize_open(u: OpenExpr) -> OpenExpr:
-    if isinstance(u, Union):
+    if isinstance(u, (Union, Intersect)):
+        # The unit of the operation drops out and its absorbing element wins.
+        unit, absorbing = ((Empty, Whole) if isinstance(u, Union)
+                           else (Whole, Empty))
         parts = []
         for part in (normalize_open(p) for p in u.parts):
-            if isinstance(part, Empty):
+            if isinstance(part, unit):
                 continue
-            if isinstance(part, Whole):
-                return Whole()
-            if isinstance(part, Union):
+            if isinstance(part, absorbing):
+                return absorbing()
+            if isinstance(part, type(u)):
                 parts.extend(part.parts)
             else:
                 parts.append(part)
         parts = _dedup(parts)
         if not parts:
-            return Empty()
+            return unit()
         if len(parts) == 1:
             return parts[0]
-        return Union(tuple(parts))
-    if isinstance(u, Intersect):
-        parts = []
-        for part in (normalize_open(p) for p in u.parts):
-            if isinstance(part, Whole):
-                continue
-            if isinstance(part, Empty):
-                return Empty()
-            if isinstance(part, Intersect):
-                parts.extend(part.parts)
-            else:
-                parts.append(part)
-        parts = _dedup(parts)
-        if not parts:
-            return Whole()
-        if len(parts) == 1:
-            return parts[0]
-        return Intersect(tuple(parts))
+        return type(u)(tuple(parts))
     if isinstance(u, UpClosure):
         if not u.points:
             return Empty()
@@ -749,15 +719,10 @@ class ExtentOracle:
         if isinstance(s, Whole):
             return self._universe_set
         if isinstance(s, Union):
-            out: frozenset = frozenset()
-            for part in s.parts:
-                out = out | self.extent(part)
-            return out
+            return frozenset().union(*(self.extent(p) for p in s.parts))
         if isinstance(s, Intersect):
-            out = self._universe_set
-            for part in s.parts:
-                out = out & self.extent(part)
-            return out
+            return self._universe_set.intersection(
+                *(self.extent(p) for p in s.parts))
         if (isinstance(s, PrefixConcat) and isinstance(s.letters, BaseOpen)
                 and isinstance(self.space, Words)):
             rest = self.extent(s.rest)
@@ -1020,9 +985,9 @@ def _closed_in(t: TopologyDesc, h: ClosedExpr, bound: int) -> bool:
     # Alexandroff refinement every stage topology sits below).
     oracle = oracle_for(t.space, bound)
     ext = oracle.extent(h)
-    complement = frozenset(oracle.universe) - ext
+    whole = frozenset(oracle.universe)
     gens = [oracle.extent(u) for u in t.effective_subbasis()]
-    if _in_lattice(complement, gens, frozenset(oracle.universe)):
+    if in_generated_lattice(whole - ext, gens, whole):
         return True
     return all(x in ext
                for y in ext for x in oracle.universe
@@ -1031,13 +996,12 @@ def _closed_in(t: TopologyDesc, h: ClosedExpr, bound: int) -> bool:
 
 def in_generated_lattice(target: frozenset, gens, whole: frozenset) -> bool:
     """Whether target belongs to the lattice generated by gens (with empty
-    and whole) under finite unions and intersections."""
-    return _in_lattice(target, gens, whole)
-
-
-def _in_lattice(target: frozenset, gens, whole: frozenset) -> bool:
+    and whole) under finite unions and intersections: exactly when, for
+    each point of target, the meet of the generators containing it lies
+    inside target."""
     if target == whole or not target:
         return True
+    gens = set(gens)
     for x in target:
         meet = whole
         for g in gens:
@@ -1046,6 +1010,14 @@ def _in_lattice(target: frozenset, gens, whole: frozenset) -> bool:
         if not meet <= target:
             return False
     return True
+
+
+def same_generated_lattice(gens_a, gens_b, whole: frozenset) -> bool:
+    """Whether two generator families generate the same lattice (each
+    generator of one lies in the lattice of the other)."""
+    gens_a, gens_b = set(gens_a), set(gens_b)
+    return (all(in_generated_lattice(e, gens_b, whole) for e in gens_a)
+            and all(in_generated_lattice(e, gens_a, whole) for e in gens_b))
 
 
 def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:

@@ -56,14 +56,23 @@ def read(text: str):
     return expr
 
 
+# Deeper forms are syntax errors: parsing and evaluation recurse per level.
+MAX_NESTING = 100
+
+
 def _tokenize(text: str):
     tokens = []
+    depth = 0
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
         elif ch in "()":
+            depth += 1 if ch == "(" else -1
+            if depth > MAX_NESTING:
+                raise SexprError("nesting deeper than %d levels" % MAX_NESTING,
+                                 i, text)
             tokens.append((ch, i))
             i += 1
         else:
@@ -185,6 +194,9 @@ def parse_point(expr) -> sp.PointTerm:
         return sp.Atom(expr)
     head = _head(expr, "point")
     if head == "nat":
+        if len(expr) != 2 or not isinstance(expr[1], str) \
+                or not expr[1].isdigit():
+            raise SexprError("expected (nat N), got %r" % (expr,))
         return sp.NatVal(int(expr[1]))
     if head == "pair":
         return sp.Pair(parse_point(expr[1]), parse_point(expr[2]))

@@ -280,8 +280,10 @@ def ow_suffixes_strictly_after(w: OrdWord, below: Ordinal) -> Tuple[OrdWord, ...
 
 def ow_cut_pairs(w: OrdWord, slack: int = 4) -> Tuple[Tuple[OrdWord, OrdWord], ...]:
     """Candidate splits w = uv.  Exact for finite words; for infinite runs the
-    prefix length within a run is sampled at its minimum plus `slack` bumps
-    (sound, and complete for the upward-closed opens tested against them)."""
+    prefix length within a run is sampled at its minimum plus `slack` bumps.
+    Sound, but not complete: a run a^w is only ever split at its ends, so the
+    split a^k . a^w (k >= 1) is never tried, and concatenation membership
+    can wrongly answer false on such words."""
     pairs = []
     seen = set()
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .sets import UpClosure, find_good_index, up_closure
+from .sets import UpClosure, find_good_index
 from .space import (
     Atom,
     NatVal,
@@ -28,6 +28,7 @@ from .space import (
     SpaceExpr,
     Word,
     Words,
+    canonical_key,
     discrete,
     point_leq,
 )
@@ -337,12 +338,11 @@ def backward_coverability(system, init, targets, fuel: int = 10 ** 6,
 
 
 def _basis_open(system, basis) -> UpClosure:
-    space = system.state_space()
-    points = [system.state_to_point(b) for b in basis]
-    u = up_closure(space, points)
-    if isinstance(u, UpClosure):
-        return u
-    return UpClosure(tuple(points))
+    # The basis is already a system.leq antichain, and for the built-in
+    # families system.leq is point_leq on state_to_point, so the sorted
+    # points are the minimized basis of the open.
+    return UpClosure(tuple(sorted((system.state_to_point(b) for b in basis),
+                                  key=canonical_key)))
 
 
 def validate_monotonicity(system, samples: Sequence, bumps: Sequence) -> None:
@@ -395,24 +395,47 @@ def _within(state, cap) -> bool:
 
 
 def system_from_json(doc: dict):
-    """Build a system plus (init, targets) from its JSON description."""
-    family = doc.get("family")
+    """Build a system plus (init, targets) from its JSON description;
+    malformed descriptions raise WstsError."""
+    family = _field(doc, "family", str)
     if family == "vas":
-        rules = [VASRule(tuple(r["guard"]), tuple(r["delta"]))
-                 for r in doc["rules"]]
-        system = VAS(int(doc["places"]), rules)
-        init = tuple(doc["init"])
-        targets = [tuple(t) for t in doc["target"]]
-        return system, init, targets
+        rules = [VASRule(_items(_field(r, "guard"), int),
+                         _items(_field(r, "delta"), int))
+                 for r in _field(doc, "rules")]
+        system = VAS(_field(doc, "places", int), rules)
+        states = [_items(s, int, 0)
+                  for s in [_field(doc, "init")] + _field(doc, "target")]
+        if any(len(s) != system.places for s in states):
+            raise WstsError("init and target need %d places" % system.places)
+        return system, states[0], states[1:]
     if family == "lossy":
-        rules = [ChannelRule(r["from"], r["op"], r.get("letter"), r["to"])
-                 for r in doc["rules"]]
-        system = LossyChannelSystem(doc["locations"], doc["alphabet"], rules)
-        init = (doc["init"]["location"], tuple(doc["init"].get("channel", ())))
-        targets = [(t["location"], tuple(t.get("channel", ())))
-                   for t in doc["target"]]
-        return system, init, targets
+        rules = [ChannelRule(_field(r, "from", str), _field(r, "op", str),
+                             r.get("letter"), _field(r, "to", str))
+                 for r in _field(doc, "rules")]
+        system = LossyChannelSystem(_items(_field(doc, "locations"), str),
+                                    _items(_field(doc, "alphabet"), str),
+                                    rules)
+        states = [(_field(s, "location", str),
+                   _items(s.get("channel", []), str))
+                  for s in [_field(doc, "init", dict)] + _field(doc, "target")]
+        return system, states[0], states[1:]
     raise WstsError("unknown system family %r" % (family,))
+
+
+def _field(obj, key: str, kind: type = list):
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise WstsError("expected a JSON %s in the field %r"
+                        % (kind.__name__, key))
+    return value
+
+
+def _items(values, kind: type, low: Optional[int] = None) -> Tuple:
+    if not isinstance(values, list) or not all(
+            type(x) is kind and (low is None or x >= low) for x in values):
+        raise WstsError("expected a list of %s%s, got %r" % (
+            kind.__name__, "" if low is None else " >= %d" % low, values))
+    return tuple(values)
 
 
 def result_to_json(result: CoverabilityResult, fuel: int) -> dict:

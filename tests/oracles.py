@@ -65,3 +65,15 @@ def kruskal_brute(s, t, label_leq):
 
 def count_nodes(t: TreeNode) -> int:
     return 1 + sum(count_nodes(c) for c in t.children)
+
+
+def lattice_brute(gens, universe):
+    """The lattice generated by gens: {empty, whole} and the generators,
+    closed under pairwise union and intersection until nothing new appears."""
+    lattice = {frozenset(), frozenset(universe)} | {frozenset(g) for g in gens}
+    while True:
+        grown = lattice | {a | b for a in lattice for b in lattice} \
+            | {a & b for a in lattice for b in lattice}
+        if grown == lattice:
+            return lattice
+        lattice = grown

@@ -160,3 +160,71 @@ class TestDivisibility:
             capsys, "divisibility", "(mu (prod (fin a b) (list id)))",
             "--depth", "3", "--check", "embedding", "--size-cap", "6")
         assert code == 0 and doc["equal"] is True
+
+
+WORDS = "(words (fin a b))"
+ONE_PLACE = {"family": "vas", "places": 1,
+             "rules": [{"guard": [0], "delta": [1]}],
+             "init": [0], "target": [[2]]}
+DEEP = "(union " * 5000 + "(whole)" + ")" * 5000
+
+
+def one_place(**fields):
+    return dict(ONE_PLACE, **fields)
+
+
+# (argv, environment, system document written to the SYSTEM argument, exit code)
+MALFORMED = [
+    pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
+                 {"NOETHKIT_ORACLE_BOUND": "four"}, None, 1, id="env-bound-text"),
+    pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
+                 {"NOETHKIT_ORACLE_BOUND": "-2"}, None, 1, id="env-bound-negative"),
+    pytest.param(["eval", "leq", "(word a)", "7", "--space", WORDS],
+                 {}, None, 1, id="leq-ill-typed"),
+    pytest.param(["eval", "member", "(word a)", DEEP, "--space", WORDS],
+                 {}, None, 2, id="deep-nesting"),
+    pytest.param(["eval", "leq", "(nat x)", "1", "--space", "nat"],
+                 {}, None, 2, id="nat-not-a-number"),
+    pytest.param(["cover", "SYSTEM"], {}, one_place(places="two"), 1,
+                 id="places-text"),
+    pytest.param(["cover", "SYSTEM"], {},
+                 one_place(rules=[{"guard": [0], "delta": ["x"]}]), 1,
+                 id="delta-text"),
+    pytest.param(["cover", "SYSTEM"], {}, [1, 2], 1, id="document-not-object"),
+    pytest.param(["cover", "SYSTEM"], {}, one_place(init=[-3]), 1,
+                 id="init-negative"),
+    pytest.param(["cover", "SYSTEM"], {}, one_place(target=[[-1]]), 1,
+                 id="target-negative"),
+    pytest.param(["cover", "SYSTEM", "--fuel", "-1"], {}, ONE_PLACE, 1,
+                 id="fuel-negative"),
+    pytest.param(["eval", "extent", "(whole)", "--space", WORDS,
+                  "--bound", "-1"], {}, None, 1, id="bound-negative"),
+    pytest.param(["iterate", "subword", "--steps", "2", "--cap", "-5"],
+                 {}, None, 1, id="cap-negative"),
+    pytest.param(["iterate", "subword", "--steps", "2", "--cap", "0"],
+                 {}, None, 1, id="cap-zero"),
+    pytest.param(["iterate", "div", "--steps", "-1"], {}, None, 1,
+                 id="steps-negative"),
+    pytest.param(["badchain", "subword", "--length", "-1"], {}, None, 1,
+                 id="length-negative"),
+    pytest.param(["divisibility", "(mu (sum unit (prod (fin a b) id)))",
+                  "--depth", "-1", "--check", "stability"], {}, None, 1,
+                 id="depth-negative"),
+]
+
+
+@pytest.mark.parametrize("argv, env, system, want", MALFORMED)
+def test_malformed_input_gives_one_error_document(capsys, monkeypatch,
+                                                  tmp_path, argv, env,
+                                                  system, want):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if system is not None:
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(system))
+        argv = [str(path) if a == "SYSTEM" else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    doc = json.loads(out)  # raises on anything beyond one document
+    assert code == want
+    assert doc["kind"] == {1: "domain", 2: "syntax"}[code] and doc["error"]

@@ -134,6 +134,13 @@ class TestSubwordRule:
         assert result.fixed_point_at is not None
         assert result.fixed_point_at <= bound + 2
 
+    def test_capped_stage_is_not_a_fixed_point(self):
+        # From step 3 on the cap, not the rule, stops the growth, so the
+        # unchanged lattices of steps 3 to 6 are no fixed point.
+        result = iterate(SubwordExpander(AB), 6, bound=5, cap=20)
+        assert [s.capped for s in result.stages] == [False] * 3 + [True] * 4
+        assert result.fixed_point_at is None
+
     def test_monotone_stages(self):
         result = iterate(SubwordExpander(AB), 3, bound=4)
         for prev, nxt in zip(result.stages, result.stages[1:]):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noethkit.ordinal import OMEGA, ONE, Ordinal, add, parse_ordinal
 from noethkit.sets import (
@@ -31,6 +33,7 @@ from noethkit.sets import (
     complement_ordinal_product,
     extent,
     find_good_index,
+    in_generated_lattice,
     includes,
     member_closed,
     member_open,
@@ -38,6 +41,7 @@ from noethkit.sets import (
     oracle_for,
     restrict,
     rtimes_rewrite,
+    same_generated_lattice,
     spec_leq,
     spec_leq_restricted,
     up_closure,
@@ -59,7 +63,7 @@ from noethkit.space import (
     point_leq,
 )
 
-from oracles import higman_brute
+from oracles import higman_brute, lattice_brute
 
 AB = discrete("a", "b")
 WAB = Words(AB)
@@ -544,3 +548,43 @@ class TestNormalize:
 
     def test_base_complement(self):
         assert base_complement(AB, DownClosure((Atom("a"),))) == UB
+
+
+@st.composite
+def generator_families(draw):
+    """A small universe, a generator family with repeated members, and a
+    second family that often generates the same lattice."""
+    n = draw(st.integers(1, 5))
+    universe = frozenset(range(n))
+    subsets = st.frozensets(st.integers(0, n - 1))
+    gens_a = draw(st.lists(subsets, max_size=5))
+    if gens_a:
+        gens_a += draw(st.lists(st.sampled_from(gens_a), max_size=3))
+    lattice_a = sorted(lattice_brute(gens_a, universe), key=sorted)
+    gens_b = draw(st.one_of(
+        st.lists(subsets, max_size=5),
+        st.lists(st.sampled_from(lattice_a), max_size=6)))
+    if draw(st.booleans()):
+        gens_b += gens_a
+    return universe, gens_a, gens_b
+
+
+class TestGeneratedLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_families())
+    def test_membership_matches_brute_force(self, case):
+        universe, gens, _ = case
+        lattice = lattice_brute(gens, universe)
+        for r in range(len(universe) + 1):
+            for target in itertools.combinations(sorted(universe), r):
+                target = frozenset(target)
+                assert in_generated_lattice(target, gens, universe) == \
+                    (target in lattice), (target, gens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_families())
+    def test_comparison_matches_brute_force(self, case):
+        universe, gens_a, gens_b = case
+        want = lattice_brute(gens_a, universe) == lattice_brute(gens_b, universe)
+        assert same_generated_lattice(gens_a, gens_b, universe) == want
+        assert same_generated_lattice(gens_b, gens_a, universe) == want

@@ -1,8 +1,12 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from noethkit.sets import UpClosure, up_closure
+from noethkit.space import canonical_key, point_leq
 from noethkit.wsts import (
     COUNTER_RULES,
     ChannelRule,
@@ -12,6 +16,7 @@ from noethkit.wsts import (
     VAS,
     VASRule,
     WstsError,
+    _basis_open,
     backward_coverability,
     forward_coverable,
     minimize_basis,
@@ -197,3 +202,28 @@ class TestJsonRoundTrip:
         }
         system, init, targets = system_from_json(doc)
         assert backward_coverability(system, init, targets).verdict == "coverable"
+
+
+class TestBasisOpen:
+    """The saturated basis is an antichain of the point order, so the basis
+    open needs no second minimisation."""
+
+    def cases(self):
+        petri = system_from_json(json.loads(
+            (Path(__file__).parent / "data" / "petri3.json").read_text()))
+        lossy = TestLossyChannel().make_system()
+        return [petri,
+                (lossy, ("q0", ()), [("q0", ("y", "x"))]),
+                (lossy, ("q1", ()), [("q2", ("x", "x")), ("q1", ("y",))])]
+
+    def test_saturated_basis_is_a_point_order_antichain(self):
+        for system, init, targets in self.cases():
+            basis = backward_coverability(system, init, targets).basis
+            space = system.state_space()
+            points = [system.state_to_point(b) for b in basis]
+            assert len(points) > 1
+            for p, q in itertools.permutations(points, 2):
+                assert not point_leq(space, p, q), (p, q)
+            sorted_open = UpClosure(tuple(sorted(points, key=canonical_key)))
+            assert up_closure(space, points) == sorted_open
+            assert _basis_open(system, dict.fromkeys(basis)) == sorted_open
