@@ -40,6 +40,15 @@ class DomainError(ValueError):
     pass
 
 
+class UsageError(ValueError):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as a syntax error
+        raise UsageError(message)
+
+
 # Expander name -> constructor from the base alphabet and the ordinal text.
 EXPANDERS = {
     "div": lambda base, alpha: E.NatShiftExpander(),
@@ -83,21 +92,29 @@ def _stage_doc(stage: E.TopologyStage, bound: int) -> dict:
     }
 
 
+# eval query -> the kinds of its arguments.
+QUERIES = {"member": ("POINT", "SET"), "includes": ("SET", "SET"),
+           "leq": ("POINT", "POINT"), "closure": ("POINT",),
+           "extent": ("SET",)}
+PARSERS = {"POINT": parse_point, "SET": parse_set}
+
+
 def cmd_eval(args) -> dict:
+    kinds = QUERIES[args.query]
+    extra = len(args.args) - len(kinds)
+    if extra:
+        raise UsageError("eval %s takes %s; %s" % (
+            args.query, " ".join(kinds), "%d extra" % extra if extra > 0
+            else "missing " + " ".join(kinds[extra:])))
     space = parse_space(args.space)
     bound = args.bound if args.bound is not None else S.default_bound()
+    values = [PARSERS[kind](text) for kind, text in zip(kinds, args.args)]
     if args.query == "member":
-        point = parse_point(args.args[0])
-        expr = parse_set(args.args[1])
-        if S._is_closed_expr(expr):
-            value = S.member_closed(space, point, expr)
-        else:
-            value = S.member_open(space, point, expr)
-        return {"query": "member", "result": value}
+        point, expr = values
+        member = S.member_closed if S._is_closed_expr(expr) else S.member_open
+        return {"query": "member", "result": member(space, point, expr)}
     if args.query == "includes":
-        a = parse_set(args.args[0])
-        b = parse_set(args.args[1])
-        r = S.includes(space, a, b, bound)
+        r = S.includes(space, *values, bound)
         return {
             "query": "includes",
             "result": r.value,
@@ -106,24 +123,19 @@ def cmd_eval(args) -> dict:
             "witness": print_point(r.witness) if r.witness is not None else None,
         }
     if args.query == "leq":
-        x = parse_point(args.args[0])
-        y = parse_point(args.args[1])
-        return {"query": "leq", "result": point_leq(space, x, y)}
+        return {"query": "leq", "result": point_leq(space, *values)}
     if args.query == "closure":
-        p = parse_point(args.args[0])
-        if not typecheck(space, p):
+        if not typecheck(space, values[0]):
             raise DomainError("point does not typecheck")
-        return {"query": "closure", "result": print_set(S.closure_point(space, p))}
-    if args.query == "extent":
-        expr = parse_set(args.args[0])
-        points = S.extent(space, expr, bound)
-        return {
-            "query": "extent",
-            "bound": bound,
-            "count": len(points),
-            "points": [print_point(p) for p in points],
-        }
-    raise DomainError("unknown eval query %r" % args.query)
+        return {"query": "closure",
+                "result": print_set(S.closure_point(space, values[0]))}
+    points = S.extent(space, values[0], bound)
+    return {
+        "query": "extent",
+        "bound": bound,
+        "count": len(points),
+        "points": [print_point(p) for p in points],
+    }
 
 
 def cmd_iterate(args) -> dict:
@@ -248,14 +260,13 @@ def cmd_divisibility(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noethkit",
         description="Symbolic workbench for Noetherian-style topologies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a membership/inclusion query")
-    p.add_argument("query",
-                   choices=["member", "includes", "leq", "closure", "extent"])
+    p.add_argument("query", choices=QUERIES)
     p.add_argument("args", nargs="+", help="query arguments (s-expressions)")
     p.add_argument("--space", required=True)
     p.add_argument("--bound", type=int, default=None)
@@ -318,17 +329,16 @@ def _check_ranges(args) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_ranges(args)
         doc = args.func(args)
-    except (SexprError, OrdinalError) as exc:
+    except (SexprError, OrdinalError, UsageError) as exc:
         print(json.dumps({"error": str(exc), "kind": "syntax"}, sort_keys=True))
         return 2
     except (DomainError, S.SetError, SpaceError, E.ExpanderError,
-            I.FunctorError, W.WstsError, OSError, json.JSONDecodeError,
-            KeyError, IndexError) as exc:
+            I.FunctorError, W.WstsError, OSError,
+            json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "domain"}, sort_keys=True))
         return 1
     print(json.dumps(doc, sort_keys=True))

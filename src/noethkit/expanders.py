@@ -377,14 +377,13 @@ class RespectsReport:
 
 
 def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
-                           bound: int, cap: int = DEFAULT_CAP,
-                           require_closed: bool = True) -> RespectsReport:
+                           bound: int, cap: int = DEFAULT_CAP) -> RespectsReport:
     """Compare the two restriction orders: refine-then-restrict against
     restrict-then-refine, as extent lattices over the carrier h."""
     space = stage.space
     oracle = oracle_for(space, bound)
     whole = frozenset(oracle.universe)
-    restrict(stage.as_topology(), h, bound=bound, require_closed=require_closed)
+    restrict(stage.as_topology(), h, bound=bound)
     mark = CarrierOpen(h)
     h_ext = oracle.extent(mark)
 

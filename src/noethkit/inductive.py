@@ -451,9 +451,8 @@ class UnfoldExpander:
 
     name = "unfold"
 
-    def __init__(self, functor: FunctorExpr, arity_cap: int = 2):
+    def __init__(self, functor: FunctorExpr):
         self.functor = functor
-        self.arity_cap = arity_cap
         try:
             self.base = word_base(functor)
             self.kind = "words"
@@ -464,19 +463,19 @@ class UnfoldExpander:
             self.space = Trees(self.base)
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-        return div_exp_generators(self.functor, sources,
-                                  arity_cap=self.arity_cap)
+        return div_exp_generators(self.functor, sources)
 
 
-def div_exp_generators(f: FunctorExpr, sources: Sequence[OpenExpr],
-                       arity_cap: int = 2) -> List[OpenExpr]:
+def div_exp_generators(f: FunctorExpr,
+                       sources: Sequence[OpenExpr]) -> List[OpenExpr]:
     """Generators of the unfold rule: the substructure-upward closure of the
-    one-step image of each subbasic open of the lifted topology."""
+    one-step image of each subbasic open of the lifted topology.  Tree
+    children patterns have at most two letters."""
     try:
         base = word_base(f)
     except FunctorError:
         return [TreeOpen(b, v) for b in _letter_subbasis(tree_base(f))
-                for v in _children_menu(sources, arity_cap)]
+                for v in _children_menu(sources, 2)]
     # Whole is the image of the nil summand.
     return [Whole()] + [UpSubstructure(PrefixConcat(b, v))
                         for b in _letter_subbasis(base) for v in sources]
@@ -490,7 +489,7 @@ def div_exp_generators(f: FunctorExpr, sources: Sequence[OpenExpr],
 
 
 def parse_functor(expr) -> FunctorExpr:
-    from .sexpr import SexprError, parse_space, read
+    from .sexpr import SexprError, parse_space, read, shaped
     if isinstance(expr, str):
         if expr == "unit":
             return UnitF()
@@ -503,17 +502,17 @@ def parse_functor(expr) -> FunctorExpr:
         raise SexprError("expected a functor form, got %r" % (expr,))
     head = expr[0]
     if head == "mu":
-        return parse_functor(expr[1])
+        return parse_functor(shaped(expr, "(mu F)")[1])
     if head == "fin":
         return ConstF(parse_space(expr))
     if head == "const":
-        return ConstF(parse_space(expr[1]))
+        return ConstF(parse_space(shaped(expr, "(const S)")[1]))
     if head == "sum":
-        return SumF(parse_functor(expr[1]), parse_functor(expr[2]))
+        return SumF(*map(parse_functor, shaped(expr, "(sum F G)")[1:]))
     if head == "prod":
-        return ProdF(parse_functor(expr[1]), parse_functor(expr[2]))
+        return ProdF(*map(parse_functor, shaped(expr, "(prod F G)")[1:]))
     if head == "list":
-        return ListF(parse_functor(expr[1]))
+        return ListF(parse_functor(shaped(expr, "(list F)")[1]))
     raise SexprError("unknown functor constructor %r" % head)
 
 

@@ -309,7 +309,7 @@ class _Parser:
 
     def take_int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
@@ -333,7 +333,7 @@ class _Parser:
 
     def parse_term(self) -> Ordinal:
         ch = self.peek()
-        if ch.isdigit():
+        if ch.isdecimal():
             return Ordinal.from_int(self.take_int())
         if ch != "w":
             raise self.error("expected 'w' or an integer")

@@ -43,6 +43,7 @@ from .space import (
     Words,
     canonical_key,
     enumerate_points,
+    minimize_basis,
     ord_to_word,
     ow_cut_pairs,
     ow_suffix_from,
@@ -63,7 +64,7 @@ class RewriteShapeError(SetError):
 
 def default_bound() -> int:
     text = os.environ.get("NOETHKIT_ORACLE_BOUND", "4")
-    if not text.strip().isdigit():
+    if not text.strip().isdecimal():
         raise SetError("NOETHKIT_ORACLE_BOUND must be a non-negative integer, "
                        "got %r" % text)
     return int(text)
@@ -691,6 +692,7 @@ class ExtentOracle:
         self._universe_set = frozenset(self.universe)
         self._open: Dict[str, frozenset] = {}
         self._closed: Dict[str, frozenset] = {}
+        self._minimal: Dict[frozenset, Tuple[PointTerm, ...]] = {}
         self._up: Optional[Dict[PointTerm, frozenset]] = None
 
     def _up_sets(self) -> Dict[PointTerm, frozenset]:
@@ -768,16 +770,10 @@ class ExtentOracle:
         return ord_word(u.segments + v.segments)
 
     def _minimals(self, ext: frozenset) -> Tuple[PointTerm, ...]:
-        key = ("minimals", ext)
-        cached = self._open.get(key)
-        if cached is None:
-            kept: list = []
-            for p in sorted(ext, key=canonical_key):
-                if not any(point_leq(self.space, q, p) for q in kept):
-                    kept.append(p)
-            cached = tuple(kept)
-            self._open[key] = cached
-        return cached
+        if ext not in self._minimal:
+            self._minimal[ext] = minimize_basis(
+                ext, lambda p, q: point_leq(self.space, p, q), canonical_key)
+        return self._minimal[ext]
 
     def _as_point(self, word: OrdWord) -> PointTerm:
         if isinstance(self.space, Words):
@@ -830,7 +826,7 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
     (the bound is recorded in the result)."""
     a = normalize_open(a)
     b = normalize_open(b)
-    if isinstance(a, Empty) or isinstance(b, Whole) or open_key(a) == open_key(b):
+    if isinstance(a, Empty) or isinstance(b, Whole) or a == b:
         return IncludesResult(True, "syntactic")
     if isinstance(a, Union):
         worst: Optional[IncludesResult] = None
@@ -924,15 +920,8 @@ def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
 def up_closure(space: SpaceExpr, points: Iterable[PointTerm]) -> OpenExpr:
     """Upward closure of finitely many points, with the basis minimized to
     an antichain."""
-    points = sorted(set(points), key=canonical_key)
-    kept = []
-    for p in points:
-        if any(point_leq(space, q, p) for q in kept):
-            continue
-        kept = [q for q in kept if not point_leq(space, p, q)]
-        kept.append(p)
-    kept.sort(key=canonical_key)
-    return normalize_open(UpClosure(tuple(kept)))
+    return normalize_open(UpClosure(minimize_basis(
+        points, lambda p, q: point_leq(space, p, q), canonical_key)))
 
 
 def closure_point(space: SpaceExpr, p: PointTerm) -> ClosedExpr:
@@ -963,19 +952,17 @@ class TopologyDesc:
         return tuple(normalize_open(Intersect((u, mark))) for u in self.subbasis)
 
 
-def restrict(t: TopologyDesc, h: ClosedExpr, bound: Optional[int] = None,
-             require_closed: bool = True) -> TopologyDesc:
+def restrict(t: TopologyDesc, h: ClosedExpr,
+             bound: Optional[int] = None) -> TopologyDesc:
     """The subset restriction tau|H: generated by the opens U /\\ H.
 
     `h` must be closed in t, i.e. its complement must be open in the
-    generated topology; this is verified extensionally at `bound` unless
-    require_closed is False."""
+    generated topology; this is verified extensionally at `bound`."""
     if isinstance(h, WholeC):
         return t
-    if require_closed:
-        b = bound if bound is not None else default_bound()
-        if not _closed_in(t, h, b):
-            raise SetError("carrier is not closed in the topology at bound %d" % b)
+    b = bound if bound is not None else default_bound()
+    if not _closed_in(t, h, b):
+        raise SetError("carrier is not closed in the topology at bound %d" % b)
     return TopologyDesc(t.space, t.effective_subbasis(), h)
 
 
@@ -1030,11 +1017,10 @@ def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:
 
 
 def spec_leq_restricted(t: TopologyDesc, h: ClosedExpr, x: PointTerm,
-                        y: PointTerm, bound: Optional[int] = None,
-                        require_closed: bool = True) -> bool:
+                        y: PointTerm, bound: Optional[int] = None) -> bool:
     """Specialisation preorder of the subset restriction tau|H, computed from
     the definition (not from the closed-carrier shortcut formula)."""
-    return spec_leq(restrict(t, h, bound=bound, require_closed=require_closed), x, y)
+    return spec_leq(restrict(t, h, bound=bound), x, y)
 
 
 # -- the ordinal-product complement and the prefix-guard rewrites --------------

@@ -107,6 +107,37 @@ def _head(expr, what: str) -> str:
     return expr[0]
 
 
+def shaped(expr, shape: str, within: str = "") -> list:
+    """expr, checked to have as many items as its shape such as "(pair p q)",
+    head included: the one argument-count check of the grammars."""
+    if isinstance(expr, list) and len(expr) == shape.count(" ") + 1:
+        return expr
+    raise SexprError("expected %s%s, got %r"
+                     % (shape, " in " + within if within else "", expr))
+
+
+def _form(expr, forms: dict, parse):
+    """A fixed-arity form; `forms` maps its head to its constructor, its shape
+    and which arguments are ordinals (ORD); `parse` reads the others."""
+    make, shape, ordinals = forms[expr[0]]
+    return make(*[_ordinal(x) if ordinal else parse(x)
+                  for ordinal, x in zip(ordinals, shaped(expr, shape)[1:])])
+
+
+def _by_head(*forms) -> dict:
+    table = {}
+    for make, shape in forms:
+        head, *args = shape[1:-1].split()
+        table[head] = (make, shape, tuple(arg == "ORD" for arg in args))
+    return table
+
+
+def _names(items, form: str) -> list:
+    if list in map(type, items):
+        raise SexprError("%s takes names, got %r" % (form, items))
+    return items
+
+
 def _ordinal(tok) -> Ordinal:
     if not isinstance(tok, str):
         raise SexprError("expected an ordinal token, got %r" % (tok,))
@@ -121,36 +152,27 @@ def ordinal_token(a: Ordinal) -> str:
 
 
 def parse_space(expr) -> sp.SpaceExpr:
-    if isinstance(expr, str):
-        if expr == "nat":
-            return sp.Nat()
-        return parse_space(read(expr))
+    if isinstance(expr, str) and expr != "nat":
+        expr = read(expr)
+    if expr == "nat":
+        return sp.Nat()
     head = _head(expr, "space")
+    if head in _SPACE_FORMS:
+        return _form(expr, _SPACE_FORMS, parse_space)
     if head == "fin":
-        return sp.discrete(*expr[1:])
+        return sp.discrete(*_names(expr[1:], "(fin ...)"))
     if head == "qo":
         elems, pairs = [], []
         for part in expr[1:]:
             sub = _head(part, "qo part")
             if sub == "elems":
-                elems = part[1:]
+                elems = _names(part[1:], "(elems ...)")
             elif sub == "leq":
-                pairs = [(p[0], p[1]) for p in part[1:]]
+                pairs = [tuple(_names(shaped(p, "(x y)", "(leq ...)"),
+                                      "(leq ...)")) for p in part[1:]]
             else:
                 raise SexprError("unknown qo part %r" % sub)
         return sp.finite_qo(elems, pairs)
-    if head == "sum":
-        return sp.Sum(parse_space(expr[1]), parse_space(expr[2]))
-    if head == "prod":
-        return sp.Product(parse_space(expr[1]), parse_space(expr[2]))
-    if head == "words":
-        return sp.Words(parse_space(expr[1]))
-    if head == "trees":
-        return sp.Trees(parse_space(expr[1]))
-    if head == "ordwords":
-        return sp.OrdWords(parse_space(expr[1]), _ordinal(expr[2]))
-    if head == "ordtrees":
-        return sp.OrdTrees(parse_space(expr[1]), _ordinal(expr[2]))
     raise SexprError("unknown space constructor %r" % head)
 
 
@@ -187,35 +209,37 @@ def print_space(space: sp.SpaceExpr) -> str:
 
 def parse_point(expr) -> sp.PointTerm:
     if isinstance(expr, str):
-        if expr.isdigit():
+        if expr.isdecimal():
             return sp.NatVal(int(expr))
         if "(" in expr:
             return parse_point(read(expr))
         return sp.Atom(expr)
     head = _head(expr, "point")
+    if head in _POINT_FORMS:
+        return _form(expr, _POINT_FORMS, parse_point)
     if head == "nat":
-        if len(expr) != 2 or not isinstance(expr[1], str) \
-                or not expr[1].isdigit():
+        _, n = shaped(expr, "(nat N)")
+        if not isinstance(n, str) or not n.isdecimal():
             raise SexprError("expected (nat N), got %r" % (expr,))
-        return sp.NatVal(int(expr[1]))
-    if head == "pair":
-        return sp.Pair(parse_point(expr[1]), parse_point(expr[2]))
-    if head == "inl":
-        return sp.InL(parse_point(expr[1]))
-    if head == "inr":
-        return sp.InR(parse_point(expr[1]))
+        return sp.NatVal(int(n))
     if head == "word":
         return sp.Word(tuple(parse_point(e) for e in expr[1:]))
     if head == "tree":
-        return sp.TreeNode(parse_point(expr[1]),
+        _, label = shaped(expr[:2], "(tree label)")
+        return sp.TreeNode(parse_point(label),
                            tuple(parse_point(e) for e in expr[2:]))
     if head == "ordword":
-        return sp.ord_word((parse_point(e[0]), _ordinal(e[1])) for e in expr[1:])
+        return sp.ord_word(_run(e, "(ordword ...)") for e in expr[1:])
     if head == "ordtree":
-        return sp.OrdTreeNode(
-            parse_point(expr[1]),
-            sp.ord_word((parse_point(e[0]), _ordinal(e[1])) for e in expr[2:]))
+        _, label = shaped(expr[:2], "(ordtree label)")
+        return sp.OrdTreeNode(parse_point(label), sp.ord_word(
+            _run(e, "(ordtree ...)") for e in expr[2:]))
     raise SexprError("unknown point constructor %r" % head)
+
+
+def _run(expr, within: str):
+    _, count = shaped(expr, "(letter ORD)", within)
+    return parse_point(expr[0]), _ordinal(count)
 
 
 def print_point(p: sp.PointTerm) -> str:
@@ -250,59 +274,40 @@ def print_point(p: sp.PointTerm) -> str:
 
 def parse_set(expr) -> TUnion[S.OpenExpr, S.ClosedExpr]:
     if isinstance(expr, str):
-        return parse_set(read(expr))
+        expr = read(expr)
     head = _head(expr, "set")
-    if head == "empty":
-        return S.Empty()
-    if head == "whole":
-        return S.Whole()
-    if head == "union":
-        return S.Union(tuple(parse_set(e) for e in expr[1:]))
-    if head == "inter":
-        return S.Intersect(tuple(parse_set(e) for e in expr[1:]))
+    if head in _SET_FORMS:
+        return _form(expr, _SET_FORMS, parse_set)
+    if head in _SET_LISTS:
+        return _SET_LISTS[head](tuple(parse_set(e) for e in expr[1:]))
     if head == "up":
         return S.UpClosure(tuple(parse_point(e) for e in expr[1:]))
-    if head == "base":
-        return S.BaseOpen(frozenset(expr[1:]))
-    if head == "rect":
-        return S.Rect(parse_set(expr[1]), parse_set(expr[2]))
-    if head == "sumopen":
-        return S.SumOpen(parse_set(expr[1]), parse_set(expr[2]))
-    if head == "wordopen":
-        return S.WordOpen(tuple(parse_set(e) for e in expr[1:]))
-    if head == "concatup":
-        return S.ConcatUp(parse_set(expr[1]), parse_set(expr[2]))
-    if head == "treeopen":
-        return S.TreeOpen(parse_set(expr[1]), parse_set(expr[2]))
-    if head == "tri":
-        return S.Triangle(_ordinal(expr[1]), parse_set(expr[2]))
-    if head == "rtimes":
-        return S.RTimes(parse_set(expr[1]), parse_set(expr[2]))
-    if head == "prefix":
-        return S.PrefixConcat(parse_set(expr[1]), parse_set(expr[2]))
-    if head == "upsub":
-        return S.UpSubstructure(parse_set(expr[1]))
-    if head == "carrier":
-        return S.CarrierOpen(parse_set(expr[1]))
-    if head == "emptyc":
-        return S.EmptyC()
-    if head == "wholec":
-        return S.WholeC()
-    if head == "unionc":
-        return S.UnionC(tuple(parse_set(e) for e in expr[1:]))
-    if head == "interc":
-        return S.IntersectC(tuple(parse_set(e) for e in expr[1:]))
     if head == "down":
         return S.DownClosure(tuple(parse_point(e) for e in expr[1:]))
-    if head == "compl":
-        return S.ComplementOf(parse_set(expr[1]))
-    if head == "ordprod":
-        return S.OrdProduct(tuple(parse_set(e) for e in expr[1:]))
-    if head == "amo":
-        return S.AtMostOne(parse_set(expr[1]))
-    if head == "pow":
-        return S.Power(parse_set(expr[1]), _ordinal(expr[2]))
+    if head == "base":
+        return S.BaseOpen(frozenset(_names(expr[1:], "(base ...)")))
     raise SexprError("unknown set constructor %r" % head)
+
+
+# Fixed-arity forms by head, and set constructors of any number of sets.
+_SPACE_FORMS = _by_head((sp.Sum, "(sum S T)"), (sp.Product, "(prod S T)"),
+                        (sp.Words, "(words S)"), (sp.Trees, "(trees S)"),
+                        (sp.OrdWords, "(ordwords S ORD)"),
+                        (sp.OrdTrees, "(ordtrees S ORD)"))
+_POINT_FORMS = _by_head((sp.Pair, "(pair p q)"), (sp.InL, "(inl p)"),
+                        (sp.InR, "(inr p)"))
+_SET_FORMS = _by_head(
+    (S.Empty, "(empty)"), (S.Whole, "(whole)"), (S.EmptyC, "(emptyc)"),
+    (S.WholeC, "(wholec)"), (S.Rect, "(rect u v)"),
+    (S.SumOpen, "(sumopen u v)"), (S.ConcatUp, "(concatup u v)"),
+    (S.TreeOpen, "(treeopen u v)"), (S.Triangle, "(tri ORD u)"),
+    (S.RTimes, "(rtimes c u)"), (S.Power, "(pow c ORD)"),
+    (S.PrefixConcat, "(prefix u v)"), (S.UpSubstructure, "(upsub u)"),
+    (S.CarrierOpen, "(carrier c)"), (S.ComplementOf, "(compl u)"),
+    (S.AtMostOne, "(amo c)"))
+_SET_LISTS = {"union": S.Union, "inter": S.Intersect, "wordopen": S.WordOpen,
+              "unionc": S.UnionC, "interc": S.IntersectC,
+              "ordprod": S.OrdProduct}
 
 
 def print_set(s) -> str:

@@ -278,9 +278,9 @@ def ow_suffixes_strictly_after(w: OrdWord, below: Ordinal) -> Tuple[OrdWord, ...
     return tuple(out)
 
 
-def ow_cut_pairs(w: OrdWord, slack: int = 4) -> Tuple[Tuple[OrdWord, OrdWord], ...]:
+def ow_cut_pairs(w: OrdWord) -> Tuple[Tuple[OrdWord, OrdWord], ...]:
     """Candidate splits w = uv.  Exact for finite words; for infinite runs the
-    prefix length within a run is sampled at its minimum plus `slack` bumps.
+    prefix length within a run is sampled at its minimum plus four bumps.
     Sound, but not complete: a run a^w is only ever split at its ends, so the
     split a^k . a^w (k >= 1) is never tried, and concatenation membership
     can wrongly answer false on such words."""
@@ -302,7 +302,7 @@ def ow_cut_pairs(w: OrdWord, slack: int = 4) -> Tuple[Tuple[OrdWord, OrdWord], .
             low = minimal_left(rem, count)
             cuts = [low]
             if rem.terms and not rem.terms[0][0].is_zero():
-                cuts.extend(add(low, Ordinal.from_int(j)) for j in range(1, slack + 1))
+                cuts.extend(add(low, Ordinal.from_int(j)) for j in range(1, 5))
             for cut in cuts:
                 emit(list(w.segments[:i]) + [(letter, cut)],
                      [(letter, rem)] + list(w.segments[i + 1:]))
@@ -450,31 +450,35 @@ def _leq(space: SpaceExpr, x: PointTerm, y: PointTerm) -> bool:
         return higman_leq(x.letters, y.letters,
                           lambda a, b: _leq(space.base, a, b))
     if isinstance(space, Trees):
-        return _tree_leq(space, x, y)
+        # Homeomorphic embedding: sink into a child, or match the root and
+        # embed the children Higman-wise, with subtree pairs memoised.  This
+        # is the specialisation order of the tree topology (and the
+        # divisibility order of the tree unfolding).
+        return (any(_leq(space, x, c) for c in y.children)
+                or (_leq(space.base, x.label, y.label)
+                    and higman_leq(x.children, y.children,
+                                   lambda a, b: _leq(space, a, b))))
     if isinstance(space, OrdWords):
         return ow_higman_leq(x, y, lambda a, b: _leq(space.base, a, b))
     if isinstance(space, OrdTrees):
-        return _ord_tree_leq(space, x, y)
+        return (any(_leq(space, x, c) for c, _ in y.children.segments)
+                or (_leq(space.base, x.label, y.label)
+                    and ow_higman_leq(x.children, y.children,
+                                      lambda a, b: _leq(space, a, b))))
     raise SpaceError("not a space: %r" % (space,))
 
 
-def _tree_leq(space: Trees, s: TreeNode, t: TreeNode) -> bool:
-    # Homeomorphic embedding: sink into a child, or match the root and embed
-    # the children sequence Higman-wise.  This is the specialisation order of
-    # the tree topology (and the divisibility order of the tree unfolding).
-    if any(_tree_leq(space, s, c) for c in t.children):
-        return True
-    return (_leq(space.base, s.label, t.label)
-            and higman_leq(s.children, t.children,
-                           lambda a, b: _tree_leq(space, a, b)))
-
-
-def _ord_tree_leq(space: OrdTrees, s: OrdTreeNode, t: OrdTreeNode) -> bool:
-    if any(_ord_tree_leq(space, s, c) for c, _ in t.children.segments):
-        return True
-    return (_leq(space.base, s.label, t.label)
-            and ow_higman_leq(s.children, t.children,
-                              lambda a, b: _ord_tree_leq(space, a, b)))
+def minimize_basis(items: Iterable, leq: Callable, key=None) -> Tuple:
+    """The minimal elements of finitely many items under the quasi-order
+    `leq`, one per equivalence class (the first in `key` order), sorted by
+    `key`."""
+    kept: list = []
+    for s in sorted(set(items), key=key):
+        if any(leq(k, s) for k in kept):
+            continue
+        kept = [k for k in kept if not leq(s, k)]
+        kept.append(s)
+    return tuple(sorted(kept, key=key))
 
 
 # -- enumeration --------------------------------------------------------------

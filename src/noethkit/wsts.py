@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .sets import UpClosure, find_good_index
 from .space import (
@@ -30,6 +30,7 @@ from .space import (
     Words,
     canonical_key,
     discrete,
+    minimize_basis,
     point_leq,
 )
 
@@ -116,16 +117,6 @@ class UpwardSet:
     """An upward-closed set of states given by a finite basis antichain."""
 
     basis: Tuple
-
-
-def minimize_basis(states: Iterable, leq: Callable) -> Tuple:
-    kept: List = []
-    for s in sorted(set(states)):
-        if any(leq(k, s) for k in kept):
-            continue
-        kept = [k for k in kept if not leq(s, k)]
-        kept.append(s)
-    return tuple(sorted(kept))
 
 
 # -- vector addition systems -------------------------------------------------------
@@ -230,7 +221,8 @@ class LossyChannelSystem:
                          Word(tuple(Atom(c) for c in s[1])),
                          Word(tuple(Atom(c) for c in t[1])))
 
-    def successors(self, state, channel_cap: int = 6) -> Iterable:
+    def successors(self, state) -> Iterable:
+        """One step, with sends blocked once the channel holds six letters."""
         loc, word = state
         # Lossiness: drop any single letter.
         for i in range(len(word)):
@@ -241,7 +233,7 @@ class LossyChannelSystem:
             if rule.op == "nop":
                 yield (rule.dst, word)
             elif rule.op == "send":
-                if len(word) < channel_cap:
+                if len(word) < 6:
                     yield (rule.dst, word + (rule.letter,))
             elif rule.op == "recv":
                 if word and word[0] == rule.letter:
@@ -282,59 +274,60 @@ class CoverabilityResult:
         return UpwardSet(self.basis)
 
 
-def backward_coverability(system, init, targets, fuel: int = 10 ** 6,
-                          certify: bool = True) -> CoverabilityResult:
+def backward_coverability(system, init, targets,
+                          fuel: int = 10 ** 6) -> CoverabilityResult:
     """Saturate predecessor bases of the upward-closed target set, then
     decide by membership of the initial state.
 
-    The saturation is certified by the goodness oracle: the cumulative
-    basis opens grow strictly until the final round, whose open must be the
-    first one covered by the union of its predecessors."""
+    Each round expands, in sorted order, only the states the previous round
+    added: the basis's up-closure only grows, so older states' predecessors
+    stay covered.  A predecessor above no basis state is inserted, and the
+    states above it drop out.  The saturation is certified by the goodness
+    oracle: the cumulative basis opens grow strictly until the final round,
+    whose open must be the first one covered by the union of its
+    predecessors."""
     leq = system.leq
-    basis = {t: 0 for t in minimize_basis(targets, leq)}
+    # Basis state -> the round that inserted it, which is its distance to
+    # the targets.
+    basis = dict.fromkeys(minimize_basis(targets, leq), 0)
     if not basis:
         raise WstsError("empty target basis")
     opens_log = [_basis_open(system, basis)]
+    frontier = tuple(basis)
     inserted = len(basis)
     rounds = 0
     while True:
         rounds += 1
-        additions = {}
-        for b, dist in list(basis.items()):
+        added = []
+        for b in frontier:
             for p in system.pred_basis(b):
-                if any(leq(k, p) for k in basis) or \
-                        any(leq(k, p) for k in additions):
+                if any(leq(k, p) for k in basis):
                     continue
-                additions[p] = dist + 1
-        if not additions:
+                for k in [k for k in basis if leq(p, k)]:
+                    del basis[k]
+                basis[p] = rounds
+                added.append(p)
+        if not added:
             break
-        merged = {}
-        for s in minimize_basis(list(basis) + list(additions), leq):
-            merged[s] = basis.get(s, additions.get(s))
-        basis = merged
-        inserted += len(additions)
+        inserted += len(added)
         if inserted > fuel:
             raise FuelExhausted("coverability basis exceeded its fuel",
                                 tuple(sorted(basis)))
+        frontier = tuple(sorted(p for p in added if p in basis))
         opens_log.append(_basis_open(system, basis))
 
-    good_index = good_via = None
-    if certify:
-        # One more copy of the saturated open: the first good index must be
-        # exactly there, witnessing both strict growth and saturation.
-        seq = opens_log + [opens_log[-1]]
-        hit = find_good_index(system.state_space(), seq)
-        if hit is None or hit[0] != len(opens_log):
-            raise WstsError("saturation certificate failed: %r" % (hit,))
-        good_index, good_via = hit[0], hit[1].via
+    # One more copy of the saturated open: the first good index must be
+    # exactly there, witnessing both strict growth and saturation.
+    seq = opens_log + [opens_log[-1]]
+    hit = find_good_index(system.state_space(), seq)
+    if hit is None or hit[0] != len(opens_log):
+        raise WstsError("saturation certificate failed: %r" % (hit,))
 
     covered = [dist for b, dist in basis.items() if leq(b, init)]
-    if covered:
-        return CoverabilityResult("coverable", min(covered),
-                                  tuple(sorted(basis)), rounds, inserted,
-                                  good_index, good_via)
-    return CoverabilityResult("uncoverable", None, tuple(sorted(basis)),
-                              rounds, inserted, good_index, good_via)
+    verdict = "coverable" if covered else "uncoverable"
+    return CoverabilityResult(verdict, min(covered, default=None),
+                              tuple(sorted(basis)), rounds, inserted,
+                              hit[0], hit[1].via)
 
 
 def _basis_open(system, basis) -> UpClosure:
@@ -359,10 +352,10 @@ def validate_monotonicity(system, samples: Sequence, bumps: Sequence) -> None:
                 raise WstsError("monotonicity violated at %r <= %r" % (x, y))
 
 
-def forward_coverable(system, init, targets, state_cap,
-                      step_cap: int = 10 ** 5) -> bool:
+def forward_coverable(system, init, targets, state_cap) -> bool:
     """Bounded explicit-state forward search: the test oracle for the
-    backward engine.  Exact when the reachable space fits under the caps."""
+    backward engine.  Exact when the reachable space fits under the state
+    cap; more than 10^5 expanded states is an error."""
     leq = system.leq
     seen = {init}
     frontier = [init]
@@ -372,7 +365,7 @@ def forward_coverable(system, init, targets, state_cap,
         if any(leq(t, state) for t in targets):
             return True
         steps += 1
-        if steps > step_cap:
+        if steps > 10 ** 5:
             raise WstsError("forward search exceeded its step cap")
         for nxt in system.successors(state):
             if nxt in seen or not _within(nxt, state_cap):

@@ -7,7 +7,9 @@ tree embedding searches over explicit node injections.
 
 import itertools
 
+from noethkit.sets import find_good_index
 from noethkit.space import TreeNode
+from noethkit.wsts import CoverabilityResult, FuelExhausted, _basis_open
 
 
 def higman_brute(u, v, letter_leq):
@@ -77,3 +79,47 @@ def lattice_brute(gens, universe):
         if grown == lattice:
             return lattice
         lattice = grown
+
+
+def minimal_brute(items, leq, key=None):
+    """The minimal elements of items under the quasi-order leq, one per
+    equivalence class (the first in `key` order), sorted by `key`: each item
+    is compared with every other."""
+    items = sorted(set(items), key=key)
+    return tuple(x for i, x in enumerate(items)
+                 if not any(leq(y, x) and (j < i or not leq(x, y))
+                            for j, y in enumerate(items) if j != i))
+
+
+def saturate_brute(system, init, targets, fuel):
+    """Backward coverability the long way: every round re-expands every basis
+    state, re-minimises the basis together with the round's additions, and
+    keeps the distance a state had when first seen.  Returns the
+    CoverabilityResult of the library's engine, certificate included, or
+    raises its FuelExhausted."""
+    leq = system.leq
+    basis = dict.fromkeys(minimal_brute(targets, leq), 0)
+    opens = [_basis_open(system, basis)]
+    inserted = len(basis)
+    rounds = 0
+    while True:
+        rounds += 1
+        additions = {}
+        for b, dist in list(basis.items()):
+            for p in system.pred_basis(b):
+                if not any(leq(k, p) for k in list(basis) + list(additions)):
+                    additions[p] = dist + 1
+        if not additions:
+            break
+        seen = {**additions, **basis}
+        basis = {s: seen[s] for s in minimal_brute(seen, leq)}
+        inserted += len(additions)
+        if inserted > fuel:
+            raise FuelExhausted("fuel", tuple(sorted(basis)))
+        opens.append(_basis_open(system, basis))
+    index, evidence = find_good_index(system.state_space(),
+                                      opens + [opens[-1]])
+    covered = [dist for b, dist in basis.items() if leq(b, init)]
+    return CoverabilityResult("coverable" if covered else "uncoverable",
+                              min(covered, default=None), tuple(sorted(basis)),
+                              rounds, inserted, index, evidence.via)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noethkit.cli import main
 
@@ -210,6 +214,30 @@ MALFORMED = [
     pytest.param(["divisibility", "(mu (sum unit (prod (fin a b) id)))",
                   "--depth", "-1", "--check", "stability"], {}, None, 1,
                  id="depth-negative"),
+    pytest.param(["iterate", "subword", "--steps", "x"], {}, None, 2,
+                 id="steps-not-a-number"),
+    pytest.param(["iterate", "subword"], {}, None, 2, id="steps-missing"),
+    pytest.param(["iterate", "nosuchrule", "--steps", "1"], {}, None, 2,
+                 id="unknown-expander"),
+    pytest.param([], {}, None, 2, id="subcommand-missing"),
+    pytest.param(["eval", "member", "(pair 1)", "(whole)",
+                  "--space", "(prod nat nat)"], {}, None, 2, id="pair-short"),
+    pytest.param(["eval", "member", "(pair 1 1)", "(rect (whole))",
+                  "--space", "(prod nat nat)"], {}, None, 2, id="rect-short"),
+    pytest.param(["eval", "leq", "a", "a", "--space", "(sum (fin a))"],
+                 {}, None, 2, id="sum-short"),
+    pytest.param(["eval", "leq", "a", "b",
+                  "--space", "(qo (elems a b) (leq a))"], {}, None, 2,
+                 id="qo-pair-short"),
+    pytest.param(["eval", "leq", "(ordword (a))", "(ordword (a 1))",
+                  "--space", "(ordwords (fin a b) w*2)"], {}, None, 2,
+                 id="ordword-run-short"),
+    pytest.param(["divisibility", "(list)", "--depth", "1",
+                  "--check", "stability"], {}, None, 2, id="list-short"),
+    pytest.param(["eval", "member", "(word a)", "(whole junk)",
+                  "--space", WORDS], {}, None, 2, id="whole-with-argument"),
+    pytest.param(["eval", "member", "(word a)", "--space", WORDS], {}, None,
+                 2, id="eval-argument-missing"),
 ]
 
 
@@ -228,3 +256,78 @@ def test_malformed_input_gives_one_error_document(capsys, monkeypatch,
     doc = json.loads(out)  # raises on anything beyond one document
     assert code == want
     assert doc["kind"] == {1: "domain", 2: "syntax"}[code] and doc["error"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "member", "(pair 1)", "(whole)", "--space", "(prod nat nat)"],
+     "(pair p q)"),
+    (["eval", "member", "(pair 1 1)", "(rect (whole))",
+      "--space", "(prod nat nat)"], "(rect u v)"),
+    (["eval", "leq", "a", "a", "--space", "(sum (fin a))"], "(sum S T)"),
+    (["eval", "leq", "a", "b", "--space", "(qo (elems a b) (leq a))"],
+     "(leq ...)"),
+    (["eval", "leq", "(ordword (a))", "(ordword (a 1))",
+      "--space", "(ordwords (fin a b) w*2)"], "(ordword ...)"),
+    (["divisibility", "(list)", "--depth", "1", "--check", "stability"],
+     "(list F)"),
+    (["eval", "member", "(word a)", "(whole junk)", "--space", WORDS],
+     "(whole)"),
+    (["eval", "member", "(word a)", "--space", WORDS], "missing SET"),
+])
+def test_argument_count_errors_name_the_form(capsys, argv, named):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2 and named in doc["error"]
+
+
+def grammar(heads, leaves):
+    """Forms of random heads with random numbers of arguments, each argument
+    a leaf or a form of the same grammar."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.builds(
+            lambda head, args: "(%s)" % " ".join([head] + args),
+            st.sampled_from(heads + ["bogus"]), st.lists(inner, max_size=3)),
+        max_leaves=5)
+
+
+spaces = st.one_of(
+    st.sampled_from(["nat", "(fin a b)", WORDS, "(trees (fin a b))",
+                     "(prod nat (fin a b))", "(ordwords (fin a b) w*2)"]),
+    grammar(["fin", "qo", "sum", "prod", "words", "trees", "ordwords",
+             "ordtrees"], ["nat", "(fin a b)", "w*2", "(a b)"]))
+points = grammar(["nat", "pair", "inl", "inr", "word", "tree", "ordword",
+                  "ordtree"], ["a", "1", "(a 1)", "(a w)", "(word a)"])
+sets = grammar(["empty", "whole", "union", "inter", "up", "base", "rect",
+                "sumopen", "wordopen", "concatup", "treeopen", "tri",
+                "rtimes", "prefix", "upsub", "carrier", "emptyc", "wholec",
+                "unionc", "interc", "down", "compl", "ordprod", "amo", "pow"],
+               ["(whole)", "(up a)", "(down a)", "(base a)", "w", "a"])
+functors = grammar(["mu", "fin", "const", "sum", "prod", "list"],
+                   ["unit", "id", "(fin a b)", "nat"])
+QUERY_ARGUMENTS = {"member": [points, sets], "includes": [sets, sets],
+                   "leq": [points, points], "closure": [points],
+                   "extent": [sets]}
+
+
+@st.composite
+def commands(draw):
+    """An eval query with arguments of its kinds, some of them missing or
+    extra, or a divisibility check of a functor."""
+    if draw(st.booleans()):
+        return ["divisibility", draw(functors), "--depth", "1",
+                "--check", "stability", "--size-cap", "2"]
+    query = draw(st.sampled_from(sorted(QUERY_ARGUMENTS)))
+    kinds = QUERY_ARGUMENTS[query]
+    kinds = draw(st.sampled_from([kinds, kinds[:-1], kinds + [points]]))
+    return (["eval", query] + [draw(kind) for kind in kinds]
+            + ["--space", draw(spaces), "--bound", "2"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(commands())
+def test_any_form_gives_one_json_document(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    json.loads(stdout.getvalue())  # raises on anything beyond one document
+    assert code in (0, 1, 2)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -120,6 +121,19 @@ class TestPointLeq:
         space = Sum(Nat(), Nat())
         assert not point_leq(space, InL(NatVal(0)), InR(NatVal(5)))
         assert point_leq(space, InL(NatVal(0)), InL(NatVal(5)))
+
+    def test_deep_chain_trees_embed_in_themselves_quickly(self):
+        # Subtree pairs recur through the point-order memo; a search that
+        # bypasses it doubles its work with each level of depth.
+        tree = TreeNode(Atom("a"), ())
+        ord_tree = OrdTreeNode(Atom("a"), OrdWord(()))
+        for _ in range(23):
+            tree = TreeNode(Atom("a"), (tree,))
+            ord_tree = OrdTreeNode(Atom("a"), OrdWord(((ord_tree, ONE),)))
+        for space, point in ((TAB, tree), (OrdTrees(AB, OMEGA), ord_tree)):
+            start = time.perf_counter()
+            assert point_leq(space, point, point)
+            assert time.perf_counter() - start < 1.0
 
     def test_reflexive_transitive_everywhere(self):
         spaces = [AB, Nat(), Sum(AB, Nat()), Product(AB, Nat()), WAB, TAB,

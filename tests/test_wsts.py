@@ -4,9 +4,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noethkit.sets import UpClosure, up_closure
-from noethkit.space import canonical_key, point_leq
+from noethkit.space import Atom, Word, Words, canonical_key, discrete, point_leq
 from noethkit.wsts import (
     COUNTER_RULES,
     ChannelRule,
@@ -24,6 +26,8 @@ from noethkit.wsts import (
     run_counter_machine,
     system_from_json,
 )
+
+from oracles import minimal_brute, saturate_brute
 
 
 class TestCounterMachine:
@@ -63,6 +67,32 @@ class TestMinimize:
         leq = lambda s, t: all(x <= y for x, y in zip(s, t))
         basis = minimize_basis([(1, 2), (2, 1), (2, 2), (1, 2)], leq)
         assert basis == ((1, 2), (2, 1))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 2)), max_size=12))
+    def test_componentwise_order_matches_brute_force(self, states):
+        leq = lambda s, t: all(x <= y for x, y in zip(s, t))
+        assert minimize_basis(states, leq) == minimal_brute(states, leq)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    max_size=12))
+    def test_one_state_per_equivalence_class(self, states):
+        # Equal token counts are equivalent: the least such state is kept.
+        leq = lambda s, t: sum(s) <= sum(t)
+        assert minimize_basis(states, leq) == minimal_brute(states, leq)
+        assert len(minimize_basis(states, leq)) == min(len(states), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("ab", max_size=4), max_size=10))
+    def test_subword_order_matches_brute_force(self, texts):
+        space = Words(discrete("a", "b"))
+        words = [Word(tuple(Atom(c) for c in text)) for text in texts]
+        leq = lambda u, v: point_leq(space, u, v)
+        assert minimize_basis(words, leq, canonical_key) == \
+            minimal_brute(words, leq, canonical_key)
 
 
 class TestVAS:
@@ -227,3 +257,63 @@ class TestBasisOpen:
             sorted_open = UpClosure(tuple(sorted(points, key=canonical_key)))
             assert up_closure(space, points) == sorted_open
             assert _basis_open(system, dict.fromkeys(basis)) == sorted_open
+
+
+LOCATIONS = ("q0", "q1", "q2")
+
+
+@st.composite
+def vas_cases(draw):
+    places = draw(st.integers(1, 4))
+    vectors = lambda low, high: st.tuples(*[st.integers(low, high)] * places)
+    rules = draw(st.lists(st.builds(VASRule, vectors(0, 1), vectors(-2, 2)),
+                          min_size=2, max_size=5))
+    return (VAS(places, rules), draw(vectors(0, 1)),
+            draw(st.lists(vectors(0, 4), min_size=1, max_size=2)))
+
+
+@st.composite
+def lossy_cases(draw):
+    location = st.sampled_from(LOCATIONS)
+    rule = st.one_of(
+        st.builds(ChannelRule, location, st.just("nop"), st.none(), location),
+        st.builds(ChannelRule, location, st.sampled_from(["send", "recv"]),
+                  st.sampled_from("xy"), location))
+    system = LossyChannelSystem(LOCATIONS, ("x", "y"),
+                                draw(st.lists(rule, min_size=3, max_size=8)))
+    target = st.tuples(location, st.lists(st.sampled_from("xy"), min_size=1,
+                                          max_size=3).map(tuple))
+    return (system, (draw(location), ()),
+            draw(st.lists(target, min_size=1, max_size=2)))
+
+
+class TestFrontierSaturation:
+    """Expanding only the previous round's additions gives what re-expanding
+    the whole basis every round gives, down to the order of the basis, the
+    counters, the certificate and the partial basis on running out of fuel."""
+
+    # Random systems seldom reach the cases where the order of the frontier
+    # and the dropping of dominated additions change the counters; these
+    # two do.
+    @example((VAS(3, [VASRule((1, 0, 1), (2, 2, -1)),
+                      VASRule((0, 1, 0), (1, 1, 2))]),
+              (1, 1, 1), [(0, 3, 1)]), 10 ** 6)
+    @example((LossyChannelSystem(LOCATIONS, ("x", "y"), [
+        ChannelRule("q1", "recv", "x", "q0"),
+        ChannelRule("q0", "send", "y", "q1"),
+        ChannelRule("q1", "nop", None, "q0")]),
+        ("q2", ()), [("q0", ("x", "y"))]), 10 ** 6)
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(vas_cases(), lossy_cases()),
+           st.sampled_from([3, 8, 30, 10 ** 6, 10 ** 6]))
+    def test_matches_reference_saturation(self, case, fuel):
+        system, init, targets = case
+
+        def outcome(saturate):
+            try:
+                result = saturate(system, init, targets, fuel=fuel)
+            except FuelExhausted as exc:
+                return exc.partial_basis
+            return result_to_json(result, fuel)
+
+        assert outcome(backward_coverability) == outcome(saturate_brute)
