@@ -9,3 +9,32 @@ systems on top of it all.
 """
 
 __version__ = "0.1.0"
+
+
+def cache_stats() -> dict:
+    """Sizes of the process-wide memos: the `cache_info()` of the point
+    order (`space._leq`), of enumeration (`space._enumerate`) and of
+    `sets.open_key`, and one entry per extent oracle with its space, bound,
+    universe size, memo entry counts and the number of up-table entries
+    built."""
+    from . import sets, space
+    return {
+        "leq": space._leq.cache_info(),
+        "enumerate": space._enumerate.cache_info(),
+        "open_key": sets.open_key.cache_info(),
+        "oracles": [
+            {"space": o.space, "bound": o.bound, "universe": len(o.universe),
+             "open": len(o._open), "closed": len(o._closed),
+             "minimal": len(o._minimal),
+             "up_entries": sum(e is not None for e in o._up)}
+            for o in sets._ORACLES.values()],
+    }
+
+
+def clear_caches() -> None:
+    """Empty every memo that `cache_stats` reports."""
+    from . import sets, space
+    space._leq.cache_clear()
+    space._enumerate.cache_clear()
+    sets.open_key.cache_clear()
+    sets._ORACLES.clear()

@@ -240,16 +240,14 @@ def cmd_divisibility(args) -> dict:
         oracle = S.oracle_for(expander.space, bound)
         table = I.DivisibilityTable(functor, args.depth + 1, size_cap)
         points = {convert(m): m for m in table.universe()}
-        alex = []
-        for p in oracle.universe:
-            if p not in points:
-                continue
-            alex.append(frozenset(
-                q for q in oracle.universe
-                if q in points and table.leq(points[p], points[q])))
-        equal = S.same_generated_lattice(
-            alex, [oracle.extent(g) for g in result.stages[-1].opens()],
-            frozenset(oracle.universe))
+        # Universe indices of the unfolded points, with their mu terms.
+        terms = [(i, points[p]) for i, p in enumerate(oracle.universe)
+                 if p in points]
+        alex = [sum(1 << j for j, n in terms if table.leq(m, n))
+                for _, m in terms]
+        gens = [oracle.mask(g) for g in result.stages[-1].opens()]
+        equal = (S.meet_table(alex, oracle.full)
+                 == S.meet_table(gens, oracle.full))
         return {
             "check": "coincidence",
             "depth": args.depth,

@@ -33,12 +33,12 @@ from .sets import (
     Whole,
     WordOpen,
     find_good_index,
-    in_generated_lattice,
+    lattice_contains,
+    meet_table,
     normalize_open,
     open_key,
     oracle_for,
     restrict,
-    same_generated_lattice,
     TopologyDesc,
 )
 from .space import (
@@ -250,10 +250,10 @@ def _stage_sources(stage: TopologyStage) -> List[OpenExpr]:
     return sources
 
 
-def _first_per_extent(opens, extent_of) -> Dict[frozenset, OpenExpr]:
-    """The first open of each distinct extent, keyed by that extent, in the
-    order the extents first appear."""
-    out: Dict[frozenset, OpenExpr] = {}
+def _first_per_extent(opens, extent_of) -> Dict[int, OpenExpr]:
+    """The first open of each distinct extent mask, keyed by that mask, in
+    the order the extents first appear."""
+    out: Dict[int, OpenExpr] = {}
     for u in opens:
         out.setdefault(extent_of(u), u)
     return out
@@ -270,7 +270,7 @@ def apply(expander, stage: TopologyStage, bound: int,
         _stage_sources(stage))]
     fresh = [g for g in fresh if not isinstance(g, Empty)]
     fresh = sorted({open_key(g): g for g in fresh}.items())
-    seen = {oracle.extent(g) for g, _ in stage.generators}
+    seen = {oracle.mask(g) for g, _ in stage.generators}
     new_step = stage.step + 1
     depth = Ordinal.from_int(new_step)
     gens = list(stage.generators)
@@ -279,7 +279,7 @@ def apply(expander, stage: TopologyStage, bound: int,
         if len(gens) >= cap:
             capped = True
             break
-        ext = oracle.extent(g)
+        ext = oracle.mask(g)
         if ext in seen:
             continue
         seen.add(ext)
@@ -307,14 +307,18 @@ def iterate(expander, steps: int, bound: int,
     stages = [trivial_stage(expander.space)]
     fixed_at: Optional[int] = None
     oracle = oracle_for(expander.space, bound)
-    whole = frozenset(oracle.universe)
+
+    def table(stage):
+        return meet_table([oracle.mask(u) for u in stage.opens()], oracle.full)
+
+    previous = table(stages[0])
     for k in range(1, steps + 1):
         stage = apply(expander, stages[-1], bound, cap)
-        if (fixed_at is None and not stage.capped
-                and same_generated_lattice(
-                    [oracle.extent(u) for u in stages[-1].opens()],
-                    [oracle.extent(u) for u in stage.opens()], whole)):
-            fixed_at = k
+        if fixed_at is None and not stage.capped:
+            current = table(stage)
+            if current == previous:
+                fixed_at = k
+            previous = current
         stages.append(stage)
     return IterationResult(stages, fixed_at, bound)
 
@@ -341,18 +345,19 @@ def find_bad_chain(expander, length: int, bound: int,
     unions, or None if some stage offers no uncovered fresh generator."""
     oracle = oracle_for(expander.space, bound)
     stage = trivial_stage(expander.space)
-    covered: frozenset = frozenset()
+    covered = 0
     picks: List[OpenExpr] = []
     for k in range(1, length + 1):
         stage = apply(expander, stage, bound, cap)
         best = None
         for g in stage.fresh():
-            ext = oracle.extent(g)
-            new_points = ext - covered
+            ext = oracle.mask(g)
+            new_points = ext & ~covered
             if not new_points:
                 continue
-            rank = (canonical_key(min(new_points, key=canonical_key)),
-                    -len(ext), open_key(g))
+            rank = (canonical_key(min(oracle.points(new_points),
+                                      key=canonical_key)),
+                    -ext.bit_count(), open_key(g))
             if best is None or rank > best[0]:
                 best = (rank, g, ext)
         if best is None:
@@ -382,17 +387,15 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
     restrict-then-refine, as extent lattices over the carrier h."""
     space = stage.space
     oracle = oracle_for(space, bound)
-    whole = frozenset(oracle.universe)
     restrict(stage.as_topology(), h, bound=bound)
     mark = CarrierOpen(h)
-    h_ext = oracle.extent(mark)
+    h_ext = oracle.mask(mark)
 
     sources = _stage_sources(stage)
     refined = [normalize_open(g) for g in expander.fresh_generators(sources)]
-    refined_exts = [oracle.extent(g) for g in refined]
-    precheck = all(
-        in_generated_lattice(oracle.extent(u), refined_exts, whole)
-        for u in sources)
+    refined_table = meet_table([oracle.mask(g) for g in refined], oracle.full)
+    precheck = all(lattice_contains(refined_table, oracle.mask(u))
+                   for u in sources)
 
     # Opens of tau|H: the cut generators, the carrier itself (X /\ H), and
     # the whole space.  Sources with equal extents at the bound yield
@@ -401,24 +404,29 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
     restricted_sources = [normalize_open(Intersect((u, mark))) for u in sources]
     restricted_sources.append(Whole())
     restricted_sources = sorted(
-        _first_per_extent(restricted_sources, oracle.extent).values(),
+        _first_per_extent(restricted_sources, oracle.mask).values(),
         key=open_key)
     refined_restricted = [normalize_open(g)
                           for g in expander.fresh_generators(restricted_sources)]
 
     def cut(g):
-        return oracle.extent(g) & h_ext
+        return oracle.mask(g) & h_ext
 
     left = _first_per_extent(refined, cut)
     right = _first_per_extent(refined_restricted, cut)
-    left_only = tuple((g, tuple(sorted(e, key=canonical_key)))
-                      for e, g in left.items()
-                      if not in_generated_lattice(e, right.keys(), whole))
-    right_only = tuple((g, tuple(sorted(e, key=canonical_key)))
-                       for e, g in right.items()
-                       if not in_generated_lattice(e, left.keys(), whole))
+    left_only = _outside_lattice(oracle, left, right)
+    right_only = _outside_lattice(oracle, right, left)
     return RespectsReport(not left_only and not right_only,
                           left_only, right_only, bound, precheck)
+
+
+def _outside_lattice(oracle: ExtentOracle, family: Dict[int, OpenExpr],
+                     other: Dict[int, OpenExpr]):
+    """The (open, sorted extent) pairs of family whose extent lies outside
+    the lattice generated by the extents of other."""
+    table = meet_table(other, oracle.full)
+    return tuple((g, tuple(sorted(oracle.points(e), key=canonical_key)))
+                 for e, g in family.items() if not lattice_contains(table, e))
 
 
 # -- per-stage lattice reports --------------------------------------------------
@@ -438,7 +446,7 @@ def _stage_nodes(stage: TopologyStage, oracle: ExtentOracle):
     gens = sorted(stage.generators, key=lambda gd: (_sort_key(gd[1]),
                                                     open_key(gd[0])))
     return _first_per_extent([Empty(), Whole()] + [g for g, _ in gens],
-                             oracle.extent)
+                             oracle.mask)
 
 
 def check_noetherian_stage(stage: TopologyStage, bound: int) -> StageReport:
@@ -452,11 +460,16 @@ def check_noetherian_stage(stage: TopologyStage, bound: int) -> StageReport:
     return StageReport(len(exts), width, antichain)
 
 
-def _poset_width(exts: List[frozenset]) -> Tuple[int, List[int]]:
-    """Dilworth width of the strict-containment poset, with a witness
-    antichain recovered from the matching's vertex cover."""
+def _below(a: int, b: int) -> bool:
+    """Whether mask a is a proper subset of mask b."""
+    return a != b and not a & ~b
+
+
+def _poset_width(exts: List[int]) -> Tuple[int, List[int]]:
+    """Dilworth width of the strict-containment poset of extent masks, with
+    a witness antichain recovered from the matching's vertex cover."""
     n = len(exts)
-    succ = [[j for j in range(n) if i != j and exts[i] < exts[j]]
+    succ = [[j for j in range(n) if _below(exts[i], exts[j])]
             for i in range(n)]
     match_l = [-1] * n
     match_r = [-1] * n
@@ -503,10 +516,10 @@ def depth_of(stage: TopologyStage, u: OpenExpr, bound: int) -> Ordinal:
         if open_key(g) == key:
             return d
     oracle = oracle_for(stage.space, bound)
-    target = oracle.extent(u)
+    target = oracle.mask(u)
     for g, d in sorted(stage.generators,
                        key=lambda gd: _sort_key(gd[1])):
-        if oracle.extent(g) == target:
+        if oracle.mask(g) == target:
             return d
     raise ExpanderError("open not found among the stage generators")
 
@@ -526,16 +539,16 @@ def export_dot(stage: TopologyStage, bound: int) -> str:
     with deterministic node naming by canonical set expression."""
     oracle = oracle_for(stage.space, bound)
     nodes = _stage_nodes(stage, oracle)
-    exts = sorted(nodes, key=lambda e: (len(e), open_key(nodes[e])))
+    exts = sorted(nodes, key=lambda e: (e.bit_count(), open_key(nodes[e])))
     labels = {e: print_set(normalize_open(nodes[e])) for e in exts}
     lines = ["digraph stage {", "  rankdir=BT;"]
     for e in exts:
         lines.append('  "%s";' % labels[e])
     for low in exts:
         for high in exts:
-            if not low < high:
+            if not _below(low, high):
                 continue
-            if any(low < mid < high for mid in exts):
+            if any(_below(low, mid) and _below(mid, high) for mid in exts):
                 continue
             lines.append('  "%s" -> "%s";' % (labels[low], labels[high]))
     lines.append("}")

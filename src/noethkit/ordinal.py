@@ -313,7 +313,11 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's digit limit for int()
+            raise self.error("integer of %d digits is too long"
+                             % (self.pos - start)) from None
 
     def parse_ordinal(self) -> Ordinal:
         self.skip_ws()

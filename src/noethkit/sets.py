@@ -9,7 +9,8 @@ F^{<b} / F^{<=1} atoms.
 
 Membership is structural recursion, exact except for ConcatUp on ordinal
 words with infinite runs (see space.ow_cut_pairs).  The universal fallback
-oracle is `extent`: filter an enumerated finite universe by membership.
+oracle is `extent`: an enumerated finite universe filtered by membership,
+held as an int bitmask, with lattice questions decided by `meet_table`.
 `includes` is three-valued, with two exact fragments (unions of upward
 closures, and the letter-pattern inclusion rule) and an extent fallback
 that records its bound.
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple, Union as TUnion
+from functools import lru_cache, reduce
+from operator import and_, or_
+from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
 
 from .ordinal import (ONE, ZERO, Ordinal, _sort_key, add, classify, cmp,
                       left_subtract, limit_finite_split, minimal_left,
@@ -41,10 +43,12 @@ from .space import (
     Trees,
     Word,
     Words,
+    _leq,
     canonical_key,
     enumerate_points,
     minimize_basis,
     ord_to_word,
+    ord_word,
     ow_cut_pairs,
     ow_suffix_from,
     ow_suffixes_strictly_after,
@@ -64,10 +68,13 @@ class RewriteShapeError(SetError):
 
 def default_bound() -> int:
     text = os.environ.get("NOETHKIT_ORACLE_BOUND", "4")
-    if not text.strip().isdecimal():
-        raise SetError("NOETHKIT_ORACLE_BOUND must be a non-negative integer, "
-                       "got %r" % text)
-    return int(text)
+    if text.strip().isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit for int()
+            pass
+    raise SetError("NOETHKIT_ORACLE_BOUND must be a non-negative integer, "
+                   "got %r" % text)
 
 
 # -- open expressions ---------------------------------------------------------
@@ -678,111 +685,154 @@ def _is_empty_word(p) -> bool:
 # -- extent oracle ------------------------------------------------------------
 
 
+def _bits(mask: int):
+    """Indices of the set bits of a mask, in increasing order."""
+    text = bin(mask)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
+
+
 class ExtentOracle:
     """Brute-force extents over an enumerated universe, memoized per expr.
 
-    Unions, intersections, and one-letter prefix cylinders are computed
-    from their parts' extents by set algebra instead of per-point
-    membership; everything else falls back to the membership recursion."""
+    An extent is an int bitmask over the universe: bit i stands for
+    `universe[i]`.  Unions and intersections are computed from their parts'
+    masks; one-letter prefix cylinders, upward concatenations and suffix
+    triangles from their parts' masks by index lookups; letter patterns of
+    two or more parts as upward concatenations; everything else falls back
+    to the membership recursion, one pass over the universe.  Universe
+    points typecheck by construction, so the oracle calls the memoised
+    point order `_leq` without `point_leq`'s checks."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
         self.bound = bound
         self.universe = enumerate_points(space, bound)
-        self._universe_set = frozenset(self.universe)
-        self._open: Dict[str, frozenset] = {}
-        self._closed: Dict[str, frozenset] = {}
-        self._minimal: Dict[frozenset, Tuple[PointTerm, ...]] = {}
-        self._up: Optional[Dict[PointTerm, frozenset]] = None
+        self.index = {p: i for i, p in enumerate(self.universe)}
+        self.full = (1 << len(self.universe)) - 1
+        self._open: Dict[OpenExpr, int] = {}
+        self._closed: Dict[ClosedExpr, int] = {}
+        self._minimal: Dict[int, Tuple[PointTerm, ...]] = {}
+        self._up: List[Optional[int]] = [None] * len(self.universe)
 
-    def _up_sets(self) -> Dict[PointTerm, frozenset]:
-        if self._up is None:
-            self._up = {
-                p: frozenset(q for q in self.universe if point_leq(self.space, p, q))
-                for p in self.universe
-            }
-        return self._up
-
-    def extent(self, s) -> frozenset:
+    def mask(self, s) -> int:
         # Memoized on the expression itself; structurally equal expressions
         # share an entry.
         if _is_closed_expr(s):
             if s not in self._closed:
-                self._closed[s] = frozenset(
-                    p for p in self.universe if _member_closed(self.space, p, s))
+                self._closed[s] = self._filter(
+                    lambda p: _member_closed(self.space, p, s))
             return self._closed[s]
         if s not in self._open:
             self._open[s] = self._compute_open(s)
         return self._open[s]
 
-    def _compute_open(self, s) -> frozenset:
+    def _filter(self, keep) -> int:
+        """The mask of the universe points satisfying `keep`."""
+        bits = "".join("1" if keep(p) else "0"
+                       for p in reversed(self.universe))
+        return int(bits or "0", 2)
+
+    def _ups(self, mask: int) -> List[Optional[int]]:
+        """The up table, the meet table of the upward-closed sets: entry i
+        is the mask of the points above universe[i].  Entries are built on
+        demand; those of the points of `mask` are built on return."""
+        for i in _bits(mask):
+            if self._up[i] is None:
+                p = self.universe[i]
+                self._up[i] = self._filter(lambda q: _leq(self.space, p, q))
+        return self._up
+
+    def _compute_open(self, s) -> int:
+        space = self.space
         if isinstance(s, Empty):
-            return frozenset()
+            return 0
         if isinstance(s, Whole):
-            return self._universe_set
+            return self.full
         if isinstance(s, Union):
-            return frozenset().union(*(self.extent(p) for p in s.parts))
+            return reduce(or_, map(self.mask, s.parts), 0)
         if isinstance(s, Intersect):
-            return self._universe_set.intersection(
-                *(self.extent(p) for p in s.parts))
+            return reduce(and_, map(self.mask, s.parts), self.full)
         if (isinstance(s, PrefixConcat) and isinstance(s.letters, BaseOpen)
-                and isinstance(self.space, Words)):
-            rest = self.extent(s.rest)
-            out = set()
+                and isinstance(space, Words)):
+            rest = self.points(self.mask(s.rest))
+            out = 0
             for name in s.letters.names:
-                head = (Atom(name),)
                 for word in rest:
-                    glued = Word(head + word.letters)
-                    if glued in self._universe_set:
-                        out.add(glued)
-            return frozenset(out)
-        if isinstance(s, ConcatUp) and isinstance(self.space, (Words, OrdWords)):
+                    i = self.index.get(Word((Atom(name),) + word.letters))
+                    if i is not None:
+                        out |= 1 << i
+            return out
+        if not isinstance(space, (Words, OrdWords)):
+            return self._filter(lambda p: _member(space, p, s))
+        if (isinstance(s, WordOpen) and len(s.parts) > 1
+                and self._parts_up_closed(s.parts)):
+            # <U1,...,Un> = up(<U1> <U2,...,Un>) when every Ui is upward
+            # closed in the base; the tails are memoized as they recur.
+            return self.mask(ConcatUp(WordOpen(s.parts[:1]),
+                                      WordOpen(s.parts[1:])))
+        if isinstance(s, ConcatUp):
             # up(LR) restricted to the universe: glue the bounded extents and
             # close upward (anything above a too-long glue is too long too).
             # Concatenation is monotone, so gluing the minimal elements of
             # each side suffices.
-            left = self._minimals(self.extent(s.left))
-            right = self._minimals(self.extent(s.right))
-            ups = self._up_sets()
-            out = set()
-            for u in left:
+            right = self._minimals(self.mask(s.right))
+            glued = 0
+            for u in self._minimals(self.mask(s.left)):
                 for v in right:
-                    glued = self._glue(u, v)
-                    if glued in ups:
-                        out.update(ups[glued])
-            return frozenset(out)
-        if isinstance(s, Triangle) and isinstance(self.space, (Words, OrdWords)):
-            inner = self.extent(s.inner)
-            out = set()
-            for p in self.universe:
-                _, word = _as_ord_word(self.space, p)
-                suffixes = ow_suffixes_strictly_after(word, s.beta)
-                if all(self._as_point(q) in inner for q in suffixes):
-                    out.add(p)
-            return frozenset(out)
-        return frozenset(p for p in self.universe
-                         if _member(self.space, p, s))
+                    i = self.index.get(self._glue(u, v))
+                    if i is not None:
+                        glued |= 1 << i
+            up = self._ups(glued)
+            return reduce(or_, (up[i] for i in _bits(glued)), 0)
+        if isinstance(s, Triangle):
+            inner = self.mask(s.inner)
+
+            def inside(q):
+                i = self.index.get(self._as_point(q))
+                return i is not None and inner >> i & 1
+
+            return self._filter(lambda p: all(
+                inside(q) for q in ow_suffixes_strictly_after(
+                    _as_ord_word(space, p)[1], s.beta)))
+        return self._filter(lambda p: _member(space, p, s))
+
+    def _parts_up_closed(self, parts) -> bool:
+        base = oracle_for(self.space.base, self.bound)
+        return all(lattice_contains(base._ups(m), m)
+                   for m in map(base.mask, parts))
 
     def _glue(self, u: PointTerm, v: PointTerm) -> PointTerm:
         if isinstance(u, Word):
             return Word(u.letters + v.letters)
-        from .space import ord_word
         return ord_word(u.segments + v.segments)
 
-    def _minimals(self, ext: frozenset) -> Tuple[PointTerm, ...]:
-        if ext not in self._minimal:
-            self._minimal[ext] = minimize_basis(
-                ext, lambda p, q: point_leq(self.space, p, q), canonical_key)
-        return self._minimal[ext]
+    def _minimals(self, mask: int) -> Tuple[PointTerm, ...]:
+        """The minimal points of a mask, one per equivalence class (the
+        first in enumeration order)."""
+        if mask not in self._minimal:
+            universe = self.universe
+            self._minimal[mask] = tuple(universe[i] for i in minimize_basis(
+                _bits(mask),
+                lambda i, j: _leq(self.space, universe[i], universe[j])))
+        return self._minimal[mask]
 
     def _as_point(self, word: OrdWord) -> PointTerm:
         if isinstance(self.space, Words):
             return ord_to_word(word)
         return word
 
+    def points(self, mask: int) -> List[PointTerm]:
+        """The points of a mask, in enumeration order."""
+        return [self.universe[i] for i in _bits(mask)]
+
+    def extent(self, s) -> frozenset:
+        return frozenset(self.points(self.mask(s)))
+
     def extent_list(self, s) -> Tuple[PointTerm, ...]:
-        ext = self.extent(s)
-        return tuple(p for p in self.universe if p in ext)
+        return tuple(self.points(self.mask(s)))
 
 
 def _is_closed_expr(s) -> bool:
@@ -859,13 +909,16 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
         oracle = oracle_for(space, bound)
     except Exception:
         return IncludesResult(None, "no-extent-oracle")
-    ea = oracle.extent(a)
-    eb = oracle.extent(b)
-    diff = ea - eb
-    if diff:
-        witness = min(diff, key=canonical_key)
+    witness = _least_outside(oracle, a, b)
+    if witness is not None:
         return IncludesResult(False, "extent", bound=bound, witness=witness)
     return IncludesResult(True, "extent", bound=bound)
+
+
+def _least_outside(oracle: ExtentOracle, a, b) -> Optional[PointTerm]:
+    """The least point (by canonical key) in the extent of a but not of b."""
+    diff = oracle.mask(a) & ~oracle.mask(b)
+    return min(oracle.points(diff), key=canonical_key) if diff else None
 
 
 def _as_up_points(u) -> Optional[Tuple[PointTerm, ...]]:
@@ -898,9 +951,8 @@ def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> Optional[Includes
         else:
             # A witness needs only one letter per left-hand part.
             oracle = oracle_for(space, max(base_bound, len(a.parts)))
-            diff = oracle.extent(a) - oracle.extent(b)
-            witness = min(diff, key=canonical_key) if diff else None
-            return IncludesResult(False, "wordopen-rule", witness=witness)
+            return IncludesResult(False, "wordopen-rule",
+                                  witness=_least_outside(oracle, a, b))
     return IncludesResult(True, "wordopen-rule")
 
 
@@ -971,40 +1023,52 @@ def _closed_in(t: TopologyDesc, h: ClosedExpr, bound: int) -> bool:
     # carrier that is downward closed in the embedding order (closed in the
     # Alexandroff refinement every stage topology sits below).
     oracle = oracle_for(t.space, bound)
-    ext = oracle.extent(h)
-    whole = frozenset(oracle.universe)
-    gens = [oracle.extent(u) for u in t.effective_subbasis()]
-    if in_generated_lattice(whole - ext, gens, whole):
-        return True
-    return all(x in ext
-               for y in ext for x in oracle.universe
-               if point_leq(t.space, x, y))
+    outside = oracle.full & ~oracle.mask(h)
+    table = meet_table([oracle.mask(u) for u in t.effective_subbasis()],
+                       oracle.full)
+    return (lattice_contains(table, outside)
+            or lattice_contains(oracle._ups(outside), outside))
+
+
+def meet_table(gens: Iterable[int], full: int) -> List[int]:
+    """Entry i is the meet (AND) of the generator masks containing bit i,
+    `full` when none does.  It is the mask of the points above point i in
+    the specialisation preorder of the generators, so two families generate
+    the same lattice (under finite unions and intersections, with empty and
+    whole) exactly when their meet tables are equal."""
+    table = [full] * full.bit_length()
+    for g in set(gens):
+        for i in _bits(g):
+            table[i] &= g
+    return table
+
+
+def lattice_contains(table: List[int], target: int) -> bool:
+    """Whether the mask target lies in the lattice whose meet table is
+    `table`: it must hold the meet of every point it holds."""
+    outside = ~target
+    return not any(table[i] & outside for i in _bits(target))
+
+
+def _mask_maker(whole: frozenset):
+    index = {x: i for i, x in enumerate(whole)}
+    return (1 << len(index)) - 1, lambda s: sum(1 << index[x] for x in s)
 
 
 def in_generated_lattice(target: frozenset, gens, whole: frozenset) -> bool:
     """Whether target belongs to the lattice generated by gens (with empty
-    and whole) under finite unions and intersections: exactly when, for
-    each point of target, the meet of the generators containing it lies
-    inside target."""
-    if target == whole or not target:
-        return True
-    gens = set(gens)
-    for x in target:
-        meet = whole
-        for g in gens:
-            if x in g:
-                meet = meet & g
-        if not meet <= target:
-            return False
-    return True
+    and whole) under finite unions and intersections.  The sets are subsets
+    of whole; decided by `lattice_contains`."""
+    full, mask = _mask_maker(whole)
+    return lattice_contains(meet_table(map(mask, gens), full), mask(target))
 
 
 def same_generated_lattice(gens_a, gens_b, whole: frozenset) -> bool:
-    """Whether two generator families generate the same lattice (each
-    generator of one lies in the lattice of the other)."""
-    gens_a, gens_b = set(gens_a), set(gens_b)
-    return (all(in_generated_lattice(e, gens_b, whole) for e in gens_a)
-            and all(in_generated_lattice(e, gens_a, whole) for e in gens_b))
+    """Whether two families of subsets of whole generate the same lattice:
+    whether their meet tables are equal."""
+    full, mask = _mask_maker(whole)
+    return (meet_table(map(mask, gens_a), full)
+            == meet_table(map(mask, gens_b), full))
 
 
 def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:

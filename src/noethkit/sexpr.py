@@ -210,7 +210,7 @@ def print_space(space: sp.SpaceExpr) -> str:
 def parse_point(expr) -> sp.PointTerm:
     if isinstance(expr, str):
         if expr.isdecimal():
-            return sp.NatVal(int(expr))
+            return sp.NatVal(_natural(expr))
         if "(" in expr:
             return parse_point(read(expr))
         return sp.Atom(expr)
@@ -221,7 +221,7 @@ def parse_point(expr) -> sp.PointTerm:
         _, n = shaped(expr, "(nat N)")
         if not isinstance(n, str) or not n.isdecimal():
             raise SexprError("expected (nat N), got %r" % (expr,))
-        return sp.NatVal(int(n))
+        return sp.NatVal(_natural(n))
     if head == "word":
         return sp.Word(tuple(parse_point(e) for e in expr[1:]))
     if head == "tree":
@@ -235,6 +235,14 @@ def parse_point(expr) -> sp.PointTerm:
         return sp.OrdTreeNode(parse_point(label), sp.ord_word(
             _run(e, "(ordtree ...)") for e in expr[2:]))
     raise SexprError("unknown point constructor %r" % head)
+
+
+def _natural(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise SexprError("number of %d digits is too long" % len(digits)) \
+            from None
 
 
 def _run(expr, within: str):

@@ -509,9 +509,21 @@ def canonical_key(p: PointTerm):
     raise SpaceError("not a point: %r" % (p,))
 
 
+# The largest universe enumeration builds, in points; every extent oracle
+# holds one mask bit and one up-set mask per point.
+MAX_UNIVERSE = 1 << 16
+
+
+def _check_universe(count: int) -> None:
+    if count > MAX_UNIVERSE:
+        raise SpaceError("the universe at this bound has more than %d points"
+                         % MAX_UNIVERSE)
+
+
 def enumerate_points(space: SpaceExpr, size_bound: int) -> Tuple[PointTerm, ...]:
     """All points of structural size <= size_bound, duplicate-free, sorted by
-    (size, canonical key).  Ordinal words are enumerated with finite runs."""
+    (size, canonical key).  Ordinal words are enumerated with finite runs.
+    Raises SpaceError as soon as a universe passes MAX_UNIVERSE points."""
     points = sorted(set(_enumerate(space, size_bound)),
                     key=lambda p: (point_size(p), canonical_key(p)))
     return tuple(points)
@@ -526,44 +538,45 @@ def _enumerate(space: SpaceExpr, bound: int) -> Tuple[PointTerm, ...]:
             return ()
         return tuple(Atom(n) for n in space.elements)
     if isinstance(space, Nat):
+        _check_universe(bound + 1)
         return tuple(NatVal(n) for n in range(bound + 1))
     if isinstance(space, Sum):
-        return (tuple(InL(p) for p in _enumerate(space.left, bound))
-                + tuple(InR(p) for p in _enumerate(space.right, bound)))
+        left = _enumerate(space.left, bound)
+        right = _enumerate(space.right, bound)
+        _check_universe(len(left) + len(right))
+        return tuple(InL(p) for p in left) + tuple(InR(p) for p in right)
     if isinstance(space, Product):
-        return tuple(Pair(l, r)
-                     for l in _enumerate(space.left, bound)
-                     for r in _enumerate(space.right, bound))
+        left = _enumerate(space.left, bound)
+        right = _enumerate(space.right, bound)
+        _check_universe(len(left) * len(right))
+        return tuple(Pair(l, r) for l in left for r in right)
     if isinstance(space, Words):
-        letters = _enumerate(space.base, bound)
-        out = []
-        def extend(prefix, remaining):
-            out.append(Word(tuple(prefix)))
-            for letter in letters:
-                weight = max(point_size(letter), 1)
+        # Breadth-first: the loop reads the queue it appends to.
+        letters = [(x, max(point_size(x), 1))
+                   for x in _enumerate(space.base, bound)]
+        words = [((), bound)]
+        for prefix, remaining in words:
+            for x, weight in letters:
                 if weight <= remaining:
-                    prefix.append(letter)
-                    extend(prefix, remaining - weight)
-                    prefix.pop()
-        extend([], bound)
-        return tuple(out)
+                    words.append((prefix + (x,), remaining - weight))
+                    _check_universe(len(words))
+        return tuple(Word(prefix) for prefix, _ in words)
     if isinstance(space, Trees):
         return _enumerate_trees(space, bound)
     if isinstance(space, OrdWords):
-        letters = _enumerate(space.base, bound)
-        out = []
-        def extend(prefix, remaining, last):
-            out.append(OrdWord(tuple(prefix)))
-            for letter in letters:
-                if letter == last:
+        letters = [(x, max(point_size(x), 1))
+                   for x in _enumerate(space.base, bound)]
+        runs = [((), bound, None)]
+        for prefix, remaining, last in runs:
+            for x, weight in letters:
+                if x == last:
                     continue
-                weight = max(point_size(letter), 1)
                 for count in range(1, remaining // weight + 1):
-                    prefix.append((letter, Ordinal.from_int(count)))
-                    extend(prefix, remaining - weight * count, letter)
-                    prefix.pop()
-        extend([], bound, None)
-        return tuple(p for p in out if typecheck(space, p))
+                    runs.append((prefix + ((x, Ordinal.from_int(count)),),
+                                 remaining - weight * count, x))
+                    _check_universe(len(runs))
+        words = (OrdWord(prefix) for prefix, _, _ in runs)
+        return tuple(p for p in words if typecheck(space, p))
     if isinstance(space, OrdTrees):
         return _enumerate_ord_trees(space, bound)
     raise SpaceError("cannot enumerate %r" % (space,))
@@ -583,12 +596,14 @@ def _enumerate_trees(space: Trees, bound: int) -> Tuple[TreeNode, ...]:
                 continue
             for kids in _forests(n - lw, n - lw, trees_of_size):
                 out.append(TreeNode(label, kids))
+                _check_universe(len(out))
         by_size[n] = tuple(out)
         return by_size[n]
 
     result = []
     for n in range(1, bound + 1):
         result.extend(trees_of_size(n))
+        _check_universe(len(result))
     return tuple(result)
 
 
@@ -619,12 +634,14 @@ def _enumerate_ord_trees(space: OrdTrees, bound: int) -> Tuple[OrdTreeNode, ...]
                 tree = OrdTreeNode(label, OrdWord(kids))
                 if typecheck(space, tree):
                     out.append(tree)
+                    _check_universe(len(out))
         by_size[n] = tuple(out)
         return by_size[n]
 
     result = []
     for n in range(1, bound + 1):
         result.extend(trees_of_size(n))
+        _check_universe(len(result))
     return tuple(result)
 
 

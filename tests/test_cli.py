@@ -171,6 +171,8 @@ ONE_PLACE = {"family": "vas", "places": 1,
              "rules": [{"guard": [0], "delta": [1]}],
              "init": [0], "target": [[2]]}
 DEEP = "(union " * 5000 + "(whole)" + ")" * 5000
+# More digits than int() converts from a string by default.
+LONG_NUMBER = "9" * 5000
 
 
 def one_place(**fields):
@@ -238,6 +240,18 @@ MALFORMED = [
                   "--space", WORDS], {}, None, 2, id="whole-with-argument"),
     pytest.param(["eval", "member", "(word a)", "--space", WORDS], {}, None,
                  2, id="eval-argument-missing"),
+    pytest.param(["eval", "leq", LONG_NUMBER, "1", "--space", "nat"], {},
+                 None, 2, id="number-too-long"),
+    pytest.param(["eval", "leq", "(ordword (a %s))" % LONG_NUMBER,
+                  "(ordword (a 1))", "--space", "(ordwords (fin a b) w*2)"],
+                 {}, None, 2, id="ordinal-count-too-long"),
+    pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
+                 {"NOETHKIT_ORACLE_BOUND": LONG_NUMBER}, None, 1,
+                 id="env-bound-too-long"),
+    pytest.param(["eval", "extent", "(up (word a))", "--space", WORDS,
+                  "--bound", "1000"], {}, None, 1, id="universe-too-deep"),
+    pytest.param(["eval", "extent", "(up (word a))", "--space", WORDS,
+                  "--bound", "900"], {}, None, 1, id="universe-too-large"),
 ]
 
 
@@ -256,6 +270,13 @@ def test_malformed_input_gives_one_error_document(capsys, monkeypatch,
     doc = json.loads(out)  # raises on anything beyond one document
     assert code == want
     assert doc["kind"] == {1: "domain", 2: "syntax"}[code] and doc["error"]
+
+
+def test_long_words_enumerate_without_recursion(capsys):
+    code, doc = run_cli(capsys, "eval", "extent", "(up (word a))",
+                        "--space", "(words (fin a))", "--bound", "1000")
+    assert code == 0 and doc["count"] == 1000
+    assert doc["points"][-1] == "(word%s)" % (" a" * 1000)
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -22,8 +22,10 @@ from noethkit.sets import (
     RTimes,
     RewriteShapeError,
     TopologyDesc,
+    TreeOpen,
     Triangle,
     Union,
+    UpSubstructure,
     UpClosure,
     Whole,
     WholeC,
@@ -35,6 +37,8 @@ from noethkit.sets import (
     find_good_index,
     in_generated_lattice,
     includes,
+    lattice_contains,
+    meet_table,
     member_closed,
     member_open,
     normalize_open,
@@ -588,3 +592,141 @@ class TestGeneratedLattice:
         want = lattice_brute(gens_a, universe) == lattice_brute(gens_b, universe)
         assert same_generated_lattice(gens_a, gens_b, universe) == want
         assert same_generated_lattice(gens_b, gens_a, universe) == want
+
+
+def _mask(points) -> int:
+    return sum(1 << x for x in points)
+
+
+class TestMeetTable:
+    """The lattice kernel on masks over universes {0, ..., n-1}."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_families())
+    def test_contains_matches_brute_force(self, case):
+        universe, gens, _ = case
+        full = _mask(universe)
+        table = meet_table([_mask(g) for g in gens], full)
+        lattice = {_mask(s) for s in lattice_brute(gens, universe)}
+        for target in range(full + 1):
+            assert lattice_contains(table, target) == (target in lattice), \
+                (target, gens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_families())
+    def test_equal_tables_iff_equal_lattices(self, case):
+        universe, gens_a, gens_b = case
+        full = _mask(universe)
+        want = lattice_brute(gens_a, universe) == lattice_brute(gens_b, universe)
+        got = (meet_table([_mask(g) for g in gens_a], full)
+               == meet_table([_mask(g) for g in gens_b], full))
+        assert got == want
+
+
+# Opens of the two-letter word spaces.  ConcatUp is the upward closure of
+# the concatenation, which membership's split search matches only when both
+# sides are upward closed, so its sides are drawn from the upward-closed
+# family; the other constructors take any open.
+LETTERS = st.sampled_from([UA, UB, BaseOpen(frozenset("ab"))])
+BETAS = st.sampled_from([ONE, Ordinal.from_int(2), OMEGA])
+
+
+def _combinators(kids):
+    return [
+        st.tuples(BETAS, kids).map(lambda bu: Triangle(*bu)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ps: Union(tuple(ps))),
+        st.lists(kids, min_size=2, max_size=3).map(
+            lambda ps: Intersect(tuple(ps))),
+        kids.map(UpSubstructure),
+    ]
+
+
+UP_WORD_OPENS = st.recursive(
+    st.lists(LETTERS, min_size=1, max_size=3).map(
+        lambda ps: WordOpen(tuple(ps))),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda lr: ConcatUp(*lr)),
+        *_combinators(kids)),
+    max_leaves=5)
+WORD_OPENS = st.recursive(
+    UP_WORD_OPENS,
+    lambda kids: st.one_of(
+        st.tuples(LETTERS, kids).map(lambda lu: PrefixConcat(*lu)),
+        *_combinators(kids)),
+    max_leaves=4)
+TREE_OPENS = st.recursive(
+    st.tuples(LETTERS, st.just(Whole())).map(lambda rc: TreeOpen(*rc)),
+    lambda kids: st.one_of(
+        st.tuples(LETTERS, st.lists(kids, min_size=1, max_size=2)).map(
+            lambda rc: TreeOpen(rc[0], WordOpen(tuple(rc[1])))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ps: Union(tuple(ps))),
+        st.lists(kids, min_size=2, max_size=3).map(
+            lambda ps: Intersect(tuple(ps))),
+        kids.map(UpSubstructure)),
+    max_leaves=4)
+
+
+def _extent_by_membership(oracle, u) -> frozenset:
+    return frozenset(p for p in oracle.universe
+                     if member_open(oracle.space, p, u))
+
+
+class TestMaskOracle:
+    """The bitmask extent oracle against per-point membership."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 5), WORD_OPENS)
+    def test_word_extents_match_membership(self, bound, u):
+        oracle = oracle_for(WAB, bound)
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(WORD_OPENS)
+    def test_ordinal_word_extents_match_membership(self, u):
+        # The universe holds finite runs only, where concatenation
+        # membership is exact.
+        oracle = oracle_for(OWAB, 4)
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(TREE_OPENS)
+    def test_tree_extents_match_membership(self, u):
+        oracle = oracle_for(Trees(AB), 3)
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    def test_word_open_with_parts_not_upward_closed(self):
+        # Over a <= b the part {a} is not upward closed, so <{a},{a}> is not
+        # the upward closure of <{a}> <{a}>: "ab" is above "aa" but has
+        # only one letter a.
+        space = Words(finite_qo("ab", [("a", "b")]))
+        only_a = BaseOpen(frozenset("a"))
+        for u in (WordOpen((only_a, only_a)), WordOpen((only_a, UB, only_a))):
+            oracle = oracle_for(space, 4)
+            assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    def test_extent_list_in_enumeration_order(self):
+        oracle = oracle_for(WAB, 4)
+        u = WordOpen((UA, UB))
+        got = oracle.extent_list(u)
+        assert got == tuple(p for p in oracle.universe
+                            if member_open(WAB, p, u))
+        assert oracle.extent(u) == frozenset(got)
+
+
+class TestCacheInspection:
+    def test_extent_shows_in_stats_and_clear_resets(self):
+        import noethkit
+        space = Words(discrete("c", "d"))
+        pattern = WordOpen((BaseOpen(frozenset("c")), BaseOpen(frozenset("d"))))
+        noethkit.clear_caches()
+        extent(space, pattern, 3)
+        stats = noethkit.cache_stats()
+        [entry] = [o for o in stats["oracles"] if o["space"] == space]
+        assert entry["bound"] == 3 and entry["universe"] == 15
+        assert entry["open"] >= 1 and entry["up_entries"] >= 1
+        assert stats["leq"].currsize > 0 and stats["enumerate"].currsize > 0
+        noethkit.clear_caches()
+        stats = noethkit.cache_stats()
+        assert stats["oracles"] == []
+        assert stats["leq"].currsize == stats["enumerate"].currsize == 0
+        assert stats["open_key"].currsize == 0
