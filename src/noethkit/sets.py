@@ -37,6 +37,7 @@ from .space import (
     OrdWords,
     PointTerm,
     Product,
+    SpaceError,
     SpaceExpr,
     Sum,
     TreeNode,
@@ -890,8 +891,14 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
     up_a = _as_up_points(a)
     up_b = _as_up_points(b)
     if up_a is not None and up_b is not None:
+        # Every point of both sides is typechecked once, so the comparisons
+        # need no typecheck, and a point of a found among those of b is
+        # covered by reflexivity.
+        up_b = tuple(dict.fromkeys(up_b))
+        _require_points(space, dict.fromkeys(up_a + up_b))
+        known = set(up_b)
         for f in up_a:
-            if not any(point_leq(space, g, f) for g in up_b):
+            if f not in known and not any(_leq(space, g, f) for g in up_b):
                 return IncludesResult(False, "up-closure", witness=f)
         return IncludesResult(True, "up-closure")
     if isinstance(a, WordOpen) and isinstance(b, WordOpen):
@@ -958,12 +965,41 @@ def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> Optional[Includes
 
 def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
     """Least i whose open is included in the union of its predecessors, with
-    the inclusion evidence; None if the sequence is bad throughout."""
-    for i in range(len(seq)):
-        r = includes(space, seq[i], Union(tuple(seq[:i])), bound)
-        if r.value is True:
-            return i, r
+    the inclusion evidence of `includes`; None if the sequence is bad
+    throughout.
+
+    One incremental pass.  While the opens read so far normalise to unions
+    of upward closures, the inclusion at i is decided against the running
+    set of their points: a point already in the set is covered, since the
+    point order is reflexive, and a new point is typechecked once as it
+    enters and compared with the known points, newest first.  On such a
+    log the cost is linear in its distinct points.  Any other open, and the
+    one index found included, is asked of `includes` against the union of
+    its predecessors, which gives the evidence."""
+    known: Dict[PointTerm, None] = {}  # the points read so far, oldest first
+    all_up = True
+    for i, u in enumerate(seq):
+        points = _as_up_points(normalize_open(u)) if all_up else None
+        if points is None:
+            all_up = False
+            candidate = True
+        else:
+            fresh = list(dict.fromkeys(f for f in points if f not in known))
+            _require_points(space, fresh)
+            candidate = all(any(_leq(space, g, f) for g in reversed(known))
+                            for f in fresh)
+            known.update(dict.fromkeys(fresh))
+        if candidate:
+            r = includes(space, u, Union(tuple(seq[:i])), bound)
+            if r.value is True:
+                return i, r
     return None
+
+
+def _require_points(space: SpaceExpr, points: Iterable[PointTerm]) -> None:
+    for p in points:
+        if not typecheck(space, p):
+            raise SpaceError("points do not typecheck in %r" % (space,))
 
 
 # -- closures, restriction, specialisation ------------------------------------
@@ -1048,27 +1084,6 @@ def lattice_contains(table: List[int], target: int) -> bool:
     `table`: it must hold the meet of every point it holds."""
     outside = ~target
     return not any(table[i] & outside for i in _bits(target))
-
-
-def _mask_maker(whole: frozenset):
-    index = {x: i for i, x in enumerate(whole)}
-    return (1 << len(index)) - 1, lambda s: sum(1 << index[x] for x in s)
-
-
-def in_generated_lattice(target: frozenset, gens, whole: frozenset) -> bool:
-    """Whether target belongs to the lattice generated by gens (with empty
-    and whole) under finite unions and intersections.  The sets are subsets
-    of whole; decided by `lattice_contains`."""
-    full, mask = _mask_maker(whole)
-    return lattice_contains(meet_table(map(mask, gens), full), mask(target))
-
-
-def same_generated_lattice(gens_a, gens_b, whole: frozenset) -> bool:
-    """Whether two families of subsets of whole generate the same lattice:
-    whether their meet tables are equal."""
-    full, mask = _mask_maker(whole)
-    return (meet_table(map(mask, gens_a), full)
-            == meet_table(map(mask, gens_b), full))
 
 
 def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:

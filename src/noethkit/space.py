@@ -38,7 +38,7 @@ class SpaceError(ValueError):
 # -- spaces -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FiniteQO:
     """Finite quasi-order; leq holds the full (reflexive, transitive) relation."""
 
@@ -58,6 +58,13 @@ class FiniteQO:
         for (x, y), (y2, z) in itertools.product(self.leq, repeat=2):
             if y == y2 and (x, z) not in self.leq:
                 raise SpaceError("relation is not transitive: %r %r %r" % (x, y, z))
+
+    def __repr__(self):
+        # The pairs in sorted order, so that an error message naming the
+        # space reads the same under every hash seed.
+        pairs = ", ".join(map(repr, sorted(self.leq)))
+        return "FiniteQO(elements=%r, leq=frozenset(%s))" % (
+            self.elements, "{%s}" % pairs if pairs else "")
 
     def holds(self, x: str, y: str) -> bool:
         return (x, y) in self.leq

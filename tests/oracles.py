@@ -7,7 +7,8 @@ tree embedding searches over explicit node injections.
 
 import itertools
 
-from noethkit.sets import find_good_index
+from noethkit.sets import (Union, find_good_index, includes, lattice_contains,
+                           meet_table)
 from noethkit.space import TreeNode
 from noethkit.wsts import CoverabilityResult, FuelExhausted, _basis_open
 
@@ -79,6 +80,38 @@ def lattice_brute(gens, universe):
         if grown == lattice:
             return lattice
         lattice = grown
+
+
+def _mask_maker(whole):
+    index = {x: i for i, x in enumerate(whole)}
+    return (1 << len(index)) - 1, lambda s: sum(1 << index[x] for x in s)
+
+
+def in_generated_lattice(target, gens, whole) -> bool:
+    """Whether target belongs to the lattice generated by gens (with empty
+    and whole) under finite unions and intersections.  The sets are subsets
+    of whole; decided by `lattice_contains`."""
+    full, mask = _mask_maker(whole)
+    return lattice_contains(meet_table(map(mask, gens), full), mask(target))
+
+
+def same_generated_lattice(gens_a, gens_b, whole) -> bool:
+    """Whether two families of subsets of whole generate the same lattice:
+    whether their meet tables are equal."""
+    full, mask = _mask_maker(whole)
+    return (meet_table(map(mask, gens_a), full)
+            == meet_table(map(mask, gens_b), full))
+
+
+def good_index_brute(space, seq, bound=None):
+    """The goodness certificate the long way: each open is asked of
+    `includes` against the union of all its predecessors, normalised
+    afresh.  Returns the least included index with its evidence, or None."""
+    for i in range(len(seq)):
+        r = includes(space, seq[i], Union(tuple(seq[:i])), bound)
+        if r.value is True:
+            return i, r
+    return None
 
 
 def minimal_brute(items, leq, key=None):

@@ -54,7 +54,6 @@ from noethkit.sets import (
     WordOpen,
     complement_ordinal_product,
     find_good_index,
-    in_generated_lattice,
     normalize_open,
     oracle_for,
     rtimes_rewrite,
@@ -86,6 +85,8 @@ from noethkit.wsts import (
     run_counter_machine,
     system_from_json,
 )
+
+from oracles import in_generated_lattice
 
 AB = discrete("a", "b")
 WAB = Words(AB)

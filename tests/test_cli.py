@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noethkit
 from noethkit.cli import main
 
 
@@ -123,6 +128,19 @@ class TestGood:
         code, doc = run_cli(capsys, "good", str(seq),
                             "--space", "(words (fin a b))", "--bound", "6")
         assert code == 0 and doc["good_index"] == 2
+
+    @pytest.mark.parametrize("lines", [
+        ["(up (word c))"],
+        ["(union (up (word a)) (up (word c)))", "(up (word a))"],
+        ["(up (word b))", "(up (word a c))"],
+    ])
+    def test_ill_typed_point_is_a_domain_error(self, capsys, tmp_path, lines):
+        # Read by the certificate, the point is rejected even where no
+        # comparison reaches it.
+        seq = tmp_path / "seq.txt"
+        seq.write_text("\n".join(lines) + "\n")
+        code, doc = run_cli(capsys, "good", str(seq), "--space", WORDS)
+        assert code == 1 and doc["kind"] == "domain" and doc["error"]
 
 
 class TestCover:
@@ -252,6 +270,11 @@ MALFORMED = [
                   "--bound", "1000"], {}, None, 1, id="universe-too-deep"),
     pytest.param(["eval", "extent", "(up (word a))", "--space", WORDS,
                   "--bound", "900"], {}, None, 1, id="universe-too-large"),
+    pytest.param(["eval", "includes", "(up (word a))",
+                  "(union (up (word a)) (up (word c)))", "--space", WORDS],
+                 {}, None, 1, id="includes-uncompared-ill-typed"),
+    pytest.param(["eval", "includes", "(up (word c))", "(empty)",
+                  "--space", WORDS], {}, None, 1, id="includes-ill-typed-left"),
 ]
 
 
@@ -270,6 +293,18 @@ def test_malformed_input_gives_one_error_document(capsys, monkeypatch,
     doc = json.loads(out)  # raises on anything beyond one document
     assert code == want
     assert doc["kind"] == {1: "domain", 2: "syntax"}[code] and doc["error"]
+
+
+def test_error_text_does_not_depend_on_the_hash_seed():
+    # The message names the space, whose relation is a frozenset of pairs.
+    src = str(Path(noethkit.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "noethkit.cli", "eval", "includes",
+            "(up (word c))", "(up (word a))", "--space", WORDS]
+    outs = {subprocess.run(argv, capture_output=True, check=False,
+                           env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "3")}
+    assert len(outs) == 1 and b'"kind": "domain"' in outs.pop()
 
 
 def test_long_words_enumerate_without_recursion(capsys):

@@ -25,7 +25,6 @@ from noethkit.sets import (
     UpClosure,
     WholeC,
     WordOpen,
-    in_generated_lattice,
     includes,
     member_closed,
     oracle_for,
@@ -45,6 +44,8 @@ from noethkit.space import (
     word_to_ord,
 )
 from noethkit.wsts import VAS, VASRule, minimize_basis
+
+from oracles import in_generated_lattice
 
 AB = discrete("a", "b")
 WAB = Words(AB)

@@ -41,11 +41,12 @@ from noethkit.sets import (
     Whole,
     WordOpen,
     extent,
-    in_generated_lattice,
     normalize_open,
     oracle_for,
 )
 from noethkit.space import Atom, TreeNode, Trees, Word, Words, discrete, enumerate_points, point_leq
+
+from oracles import in_generated_lattice
 
 AB = discrete("a", "b")
 WF = words_functor(AB)

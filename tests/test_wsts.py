@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noethkit import sets as sets_mod, space as space_mod, wsts as wsts_mod
 from noethkit.sets import UpClosure, up_closure
 from noethkit.space import Atom, Word, Words, canonical_key, discrete, point_leq
 from noethkit.wsts import (
@@ -257,6 +258,48 @@ class TestBasisOpen:
             sorted_open = UpClosure(tuple(sorted(points, key=canonical_key)))
             assert up_closure(space, points) == sorted_open
             assert _basis_open(system, dict.fromkeys(basis)) == sorted_open
+
+
+class TestCertificateCost:
+    """A count guard against a quadratic certificate: the goodness pass
+    typechecks each distinct point of the log once as it enters, and the
+    evidence call at the hit each point of its two sides once."""
+
+    def test_typechecks_linear_in_inserted_states(self, monkeypatch):
+        # A 5-place token ring with a producer at place 0, asked to cover
+        # 4 tokens at place 4: 24 rounds.
+        def unit(i, v=1):
+            return tuple(v if j == i else 0 for j in range(5))
+        rules = [VASRule(unit(i), tuple(a + b for a, b in
+                                        zip(unit(i, -1), unit((i + 1) % 5))))
+                 for i in range(5)] + [VASRule(unit(0), unit(0))]
+        calls, depth, certifying = 0, 0, False
+        typecheck = space_mod.typecheck
+        find_good_index = wsts_mod.find_good_index
+
+        def counting_typecheck(*args):
+            nonlocal calls, depth
+            calls += certifying and depth == 0
+            depth += 1
+            try:
+                return typecheck(*args)
+            finally:
+                depth -= 1
+
+        def certify(*args):
+            nonlocal certifying
+            certifying = True
+            try:
+                return find_good_index(*args)
+            finally:
+                certifying = False
+
+        monkeypatch.setattr(space_mod, "typecheck", counting_typecheck)
+        monkeypatch.setattr(sets_mod, "typecheck", counting_typecheck)
+        monkeypatch.setattr(wsts_mod, "find_good_index", certify)
+        result = backward_coverability(VAS(5, rules), unit(0), [unit(4, 4)])
+        assert result.rounds >= 20
+        assert 0 < calls <= 2 * result.inserted + len(result.basis)
 
 
 LOCATIONS = ("q0", "q1", "q2")
