@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union as TUnion
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+                    Union as TUnion, get_args)
 
 from .expanders import _children_menu, _letter_subbasis
 from .sets import (
@@ -23,6 +24,8 @@ from .sets import (
     UpSubstructure,
     Whole,
 )
+from .sexpr import (PRINTERS, SexprError, grammar, parse_row, parse_space,
+                    print_space, print_term, read, shaped)
 from .space import (
     FiniteQO,
     PointTerm,
@@ -31,8 +34,10 @@ from .space import (
     Trees,
     Word,
     Words,
+    canonical_key,
     enumerate_points,
     higman_leq,
+    key_rows,
     point_leq,
 )
 
@@ -161,21 +166,8 @@ def mu_size(m: MuElement) -> int:
     raise FunctorError("not an element: %r" % (m,))
 
 
-def mu_key(m: MuElement):
-    if isinstance(m, MUnit):
-        return (0,)
-    if isinstance(m, MConst):
-        from .space import canonical_key
-        return (1, canonical_key(m.point))
-    if isinstance(m, MPair):
-        return (2, mu_key(m.left), mu_key(m.right))
-    if isinstance(m, MInL):
-        return (3, mu_key(m.value))
-    if isinstance(m, MInR):
-        return (4, mu_key(m.value))
-    if isinstance(m, MList):
-        return (5, tuple(mu_key(x) for x in m.items))
-    raise FunctorError("not an element: %r" % (m,))
+key_rows(get_args(MuElement))
+mu_key = canonical_key
 
 
 def support(f: FunctorExpr, value: MuElement) -> Tuple[MuElement, ...]:
@@ -481,15 +473,10 @@ def div_exp_generators(f: FunctorExpr,
                         for b in _letter_subbasis(base) for v in sources]
 
 
-# -- textual functor grammar --------------------------------------------------
-#
-#   functor := unit | id | (fin a b ...) | (const SPACE) | (sum F G)
-#            | (prod F G) | (list F)
-#   and (mu F) unwraps to F.
+# -- textual functor grammar (see sexpr) ---------------------------------------
 
 
 def parse_functor(expr) -> FunctorExpr:
-    from .sexpr import SexprError, parse_space, read, shaped
     if isinstance(expr, str):
         if expr == "unit":
             return UnitF()
@@ -500,34 +487,22 @@ def parse_functor(expr) -> FunctorExpr:
         raise SexprError("unknown functor token %r" % expr)
     if not expr or not isinstance(expr[0], str):
         raise SexprError("expected a functor form, got %r" % (expr,))
-    head = expr[0]
-    if head == "mu":
+    if expr[0] == "mu":
         return parse_functor(shaped(expr, "(mu F)")[1])
-    if head == "fin":
+    if expr[0] == "fin":
         return ConstF(parse_space(expr))
-    if head == "const":
-        return ConstF(parse_space(shaped(expr, "(const S)")[1]))
-    if head == "sum":
-        return SumF(*map(parse_functor, shaped(expr, "(sum F G)")[1:]))
-    if head == "prod":
-        return ProdF(*map(parse_functor, shaped(expr, "(prod F G)")[1:]))
-    if head == "list":
-        return ListF(parse_functor(shaped(expr, "(list F)")[1]))
-    raise SexprError("unknown functor constructor %r" % head)
+    return parse_row(expr, _FUNCTORS, "functor")
 
 
-def print_functor(f: FunctorExpr) -> str:
-    from .sexpr import print_space
-    if isinstance(f, UnitF):
-        return "unit"
-    if isinstance(f, IdF):
-        return "id"
-    if isinstance(f, ConstF):
-        return print_space(f.space)
-    if isinstance(f, SumF):
-        return "(sum %s %s)" % (print_functor(f.left), print_functor(f.right))
-    if isinstance(f, ProdF):
-        return "(prod %s %s)" % (print_functor(f.left), print_functor(f.right))
-    if isinstance(f, ListF):
-        return "(list %s)" % print_functor(f.inner)
-    raise FunctorError("not a functor: %r" % (f,))
+def _print_const(f: ConstF) -> str:
+    # A (fin ...) space is a constant by itself; other spaces need (const S).
+    text = print_space(f.space)
+    return text if text.startswith("(fin ") else "(const %s)" % text
+
+
+_FUNCTORS = grammar((ConstF, "(const S)"), (SumF, "(sum F G)"),
+                    (ProdF, "(prod F G)"), (ListF, "(list F)"),
+                    F=parse_functor, G=parse_functor)
+PRINTERS.update({UnitF: lambda f: "unit", IdF: lambda f: "id",
+                 ConstF: _print_const})
+print_functor = print_term

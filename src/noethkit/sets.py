@@ -22,9 +22,10 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
+from typing import (Dict, Iterable, List, Optional, Tuple, Union as TUnion,
+                    get_args)
 
-from .ordinal import (ONE, ZERO, Ordinal, _sort_key, add, classify, cmp,
+from .ordinal import (ONE, ZERO, Ordinal, add, classify, cmp,
                       left_subtract, limit_finite_split, minimal_left,
                       right_parts)
 from .space import (
@@ -47,6 +48,7 @@ from .space import (
     _leq,
     canonical_key,
     enumerate_points,
+    key_rows,
     minimize_basis,
     ord_to_word,
     ord_word,
@@ -114,6 +116,9 @@ class BaseOpen:
     a legitimate open of the base quasi-order)."""
 
     names: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", frozenset(self.names))
 
 
 @dataclass(frozen=True)
@@ -264,6 +269,8 @@ class OrdProduct:
 
 ClosedExpr = TUnion[EmptyC, WholeC, UnionC, IntersectC, DownClosure,
                     ComplementOf, OrdProduct]
+key_rows(get_args(OpenExpr) + get_args(ClosedExpr) + get_args(ProductAtom),
+         by_name=True)
 
 
 # -- membership ---------------------------------------------------------------
@@ -538,41 +545,7 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
 @lru_cache(maxsize=None)
 def open_key(u: OpenExpr):
     """Deterministic structural sort key."""
-    return repr(_norm_key(u))
-
-
-def _norm_key(u):
-    if isinstance(u, (Empty, Whole, EmptyC, WholeC)):
-        return (type(u).__name__,)
-    if isinstance(u, (Union, Intersect, WordOpen, UnionC, IntersectC)):
-        return (type(u).__name__, tuple(_norm_key(p) for p in u.parts))
-    if isinstance(u, (UpClosure, DownClosure)):
-        return (type(u).__name__, tuple(canonical_key(p) for p in u.points))
-    if isinstance(u, BaseOpen):
-        return ("BaseOpen", tuple(sorted(u.names)))
-    if isinstance(u, (Rect, SumOpen, ConcatUp)):
-        return (type(u).__name__, _norm_key(u.left), _norm_key(u.right))
-    if isinstance(u, TreeOpen):
-        return ("TreeOpen", _norm_key(u.root_open), _norm_key(u.children_open))
-    if isinstance(u, Triangle):
-        return ("Triangle", _sort_key(u.beta), _norm_key(u.inner))
-    if isinstance(u, RTimes):
-        return ("RTimes", _norm_key(u.closed), _norm_key(u.inner))
-    if isinstance(u, PrefixConcat):
-        return ("PrefixConcat", _norm_key(u.letters), _norm_key(u.rest))
-    if isinstance(u, UpSubstructure):
-        return ("UpSubstructure", _norm_key(u.inner))
-    if isinstance(u, CarrierOpen):
-        return ("CarrierOpen", _norm_key(u.closed))
-    if isinstance(u, ComplementOf):
-        return ("ComplementOf", _norm_key(u.open))
-    if isinstance(u, AtMostOne):
-        return ("AtMostOne", _norm_key(u.closed))
-    if isinstance(u, Power):
-        return ("Power", _norm_key(u.closed), _sort_key(u.beta))
-    if isinstance(u, OrdProduct):
-        return ("OrdProduct", tuple(_norm_key(a) for a in u.atoms))
-    raise SetError("no key for %r" % (u,))
+    return repr(canonical_key(u))
 
 
 def normalize_open(u: OpenExpr) -> OpenExpr:

@@ -1,4 +1,4 @@
-"""S-expression grammar for spaces, points, and set expressions.
+"""S-expression grammar for spaces, points, set expressions and functors.
 
 Spaces:   (fin a b) | (qo (elems a b) (leq (a b) ...)) | nat | (sum S T)
           | (prod S T) | (words S) | (trees S) | (ordwords S ORD)
@@ -13,13 +13,19 @@ Opens:    (empty) | (whole) | (union u ...) | (inter u ...) | (up p ...)
 Closeds:  (emptyc) | (wholec) | (unionc c ...) | (interc c ...)
           | (down p ...) | (compl u) | (ordprod atom ...)
           with atoms (amo c) | (pow c ORD)
+Functors: unit | id | (fin a b) | (const S) | (sum F G) | (prod F G)
+          | (list F) | (mu F)  (their rows are in `inductive`)
 
-Ordinals appear as single tokens in the compact syntax, e.g. w^2*3+w+1.
-Every printer emits a form the corresponding parser accepts verbatim.
+Names (a, b, ... in fin, elems, leq and base) may not be numerals: a
+decimal token is the natural number point.  Ordinals appear as single
+tokens in the compact syntax, e.g. w^2*3+w+1.  Every printed form parses
+back to the same term.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from operator import attrgetter
 from typing import Union as TUnion
 
 from . import sets as S
@@ -109,33 +115,17 @@ def _head(expr, what: str) -> str:
 
 def shaped(expr, shape: str, within: str = "") -> list:
     """expr, checked to have as many items as its shape such as "(pair p q)",
-    head included: the one argument-count check of the grammars."""
+    head included: the one argument-count check of the hand-written forms."""
     if isinstance(expr, list) and len(expr) == shape.count(" ") + 1:
         return expr
     raise SexprError("expected %s%s, got %r"
                      % (shape, " in " + within if within else "", expr))
 
 
-def _form(expr, forms: dict, parse):
-    """A fixed-arity form; `forms` maps its head to its constructor, its shape
-    and which arguments are ordinals (ORD); `parse` reads the others."""
-    make, shape, ordinals = forms[expr[0]]
-    return make(*[_ordinal(x) if ordinal else parse(x)
-                  for ordinal, x in zip(ordinals, shaped(expr, shape)[1:])])
-
-
-def _by_head(*forms) -> dict:
-    table = {}
-    for make, shape in forms:
-        head, *args = shape[1:-1].split()
-        table[head] = (make, shape, tuple(arg == "ORD" for arg in args))
-    return table
-
-
-def _names(items, form: str) -> list:
-    if list in map(type, items):
-        raise SexprError("%s takes names, got %r" % (form, items))
-    return items
+def _name(tok) -> str:
+    if isinstance(tok, str) and not tok.isdecimal():
+        return tok
+    raise SexprError("expected a name that is not a numeral, got %r" % (tok,))
 
 
 def _ordinal(tok) -> Ordinal:
@@ -148,6 +138,81 @@ def ordinal_token(a: Ordinal) -> str:
     return format_ordinal(a).replace(" ", "")
 
 
+# -- grammar tables -------------------------------------------------------------
+#
+# A row (class, shape) states one constructor: its head and, in field order,
+# the kind of each field.  A trailing "..." makes the last field a tuple of
+# any number of items of the kind before it.  The parser and the printer
+# both read the rows.
+
+# type -> printer: one per row, and by hand for the forms a shape cannot
+# state (bare tokens, numerals, ordinal runs, (fin ...) and (qo ...)).
+PRINTERS: dict = {}
+
+
+def grammar(*rows, **kinds) -> dict:
+    """The head -> row table of (class, shape) rows, whose printers it adds
+    to PRINTERS; `kinds` adds field kinds to the standard ones."""
+    kinds = {**_KINDS, **kinds}
+    table = {}
+    for cls, shape in rows:
+        head, *args = shape[1:-1].split()
+        rest = args[-2] if args[-1:] == ["..."] else None
+        fixed = args[:-2] if rest else args
+        names = [f.name for f in fields(cls)]
+        assert len(names) == len(fixed) + bool(rest), shape
+        table[head] = (cls, shape, [kinds[k] for k in fixed],
+                       kinds[rest] if rest else None)
+        PRINTERS[cls] = _row_printer(head, names[:len(fixed)],
+                                     names[-1] if rest else None,
+                                     rest == "NAME")
+    return table
+
+
+def _row_printer(head: str, fixed, rest, sort: bool):
+    # Plain loops, as the printer runs on every extent point that is hashed.
+    lead = "(" + head
+    gets = [attrgetter(f) for f in fixed]
+    items = attrgetter(rest) if rest else None
+
+    def show(t) -> str:
+        text = lead
+        for get in gets:
+            text += " " + print_term(get(t))
+        if items:
+            for x in sorted(items(t)) if sort else items(t):
+                text += " " + print_term(x)
+        return text + ")"
+    return show
+
+
+def parse_row(expr, table: dict, what: str):
+    """A form of one of the table's heads, read field by field."""
+    head = _head(expr, what)
+    if head not in table:
+        raise SexprError("unknown %s constructor %r" % (what, head))
+    cls, shape, parsers, rest = table[head]
+    n = len(parsers) + 1
+    if len(expr) != n and not (rest and len(expr) > n):
+        raise SexprError("expected %s, got %r" % (shape, expr))
+    args = [parse(x) for parse, x in zip(parsers, expr[1:])]
+    if rest:
+        args.append(tuple(map(rest, expr[n:])))
+    return cls(*args)
+
+
+def print_term(t) -> str:
+    """The form of a space, point, set expression or functor, which its
+    parser reads back."""
+    try:
+        return PRINTERS[type(t)](t)
+    except KeyError:
+        raise SexprError("no form for %r" % (t,)) from None
+
+
+print_space = print_point = print_set = print_term
+
+
 # -- spaces -------------------------------------------------------------------
 
 
@@ -157,51 +222,30 @@ def parse_space(expr) -> sp.SpaceExpr:
     if expr == "nat":
         return sp.Nat()
     head = _head(expr, "space")
-    if head in _SPACE_FORMS:
-        return _form(expr, _SPACE_FORMS, parse_space)
     if head == "fin":
-        return sp.discrete(*_names(expr[1:], "(fin ...)"))
+        return sp.discrete(*map(_name, expr[1:]))
     if head == "qo":
         elems, pairs = [], []
         for part in expr[1:]:
             sub = _head(part, "qo part")
             if sub == "elems":
-                elems = _names(part[1:], "(elems ...)")
+                elems = list(map(_name, part[1:]))
             elif sub == "leq":
-                pairs = [tuple(_names(shaped(p, "(x y)", "(leq ...)"),
-                                      "(leq ...)")) for p in part[1:]]
+                pairs = [tuple(map(_name, shaped(p, "(x y)", "(leq ...)")))
+                         for p in part[1:]]
             else:
                 raise SexprError("unknown qo part %r" % sub)
         return sp.finite_qo(elems, pairs)
-    raise SexprError("unknown space constructor %r" % head)
+    return parse_row(expr, _SPACES, "space")
 
 
-def print_space(space: sp.SpaceExpr) -> str:
-    if isinstance(space, sp.FiniteQO):
-        if all(space.holds(x, y) == (x == y)
-               for x in space.elements for y in space.elements):
-            return "(fin %s)" % " ".join(space.elements)
-        pairs = sorted((x, y) for (x, y) in space.leq if x != y)
-        return "(qo (elems %s) (leq %s))" % (
-            " ".join(space.elements),
-            " ".join("(%s %s)" % p for p in pairs))
-    if isinstance(space, sp.Nat):
-        return "nat"
-    if isinstance(space, sp.Sum):
-        return "(sum %s %s)" % (print_space(space.left), print_space(space.right))
-    if isinstance(space, sp.Product):
-        return "(prod %s %s)" % (print_space(space.left), print_space(space.right))
-    if isinstance(space, sp.Words):
-        return "(words %s)" % print_space(space.base)
-    if isinstance(space, sp.Trees):
-        return "(trees %s)" % print_space(space.base)
-    if isinstance(space, sp.OrdWords):
-        return "(ordwords %s %s)" % (print_space(space.base),
-                                     ordinal_token(space.alpha))
-    if isinstance(space, sp.OrdTrees):
-        return "(ordtrees %s %s)" % (print_space(space.base),
-                                     ordinal_token(space.alpha))
-    raise SexprError("not a space: %r" % (space,))
+def _print_qo(space: sp.FiniteQO) -> str:
+    if all(space.holds(x, y) == (x == y)
+           for x in space.elements for y in space.elements):
+        return "(fin %s)" % " ".join(space.elements)
+    pairs = sorted((x, y) for (x, y) in space.leq if x != y)
+    return "(qo (elems %s) (leq %s))" % (
+        " ".join(space.elements), " ".join("(%s %s)" % p for p in pairs))
 
 
 # -- points -------------------------------------------------------------------
@@ -215,26 +259,18 @@ def parse_point(expr) -> sp.PointTerm:
             return parse_point(read(expr))
         return sp.Atom(expr)
     head = _head(expr, "point")
-    if head in _POINT_FORMS:
-        return _form(expr, _POINT_FORMS, parse_point)
     if head == "nat":
         _, n = shaped(expr, "(nat N)")
         if not isinstance(n, str) or not n.isdecimal():
             raise SexprError("expected (nat N), got %r" % (expr,))
         return sp.NatVal(_natural(n))
-    if head == "word":
-        return sp.Word(tuple(parse_point(e) for e in expr[1:]))
-    if head == "tree":
-        _, label = shaped(expr[:2], "(tree label)")
-        return sp.TreeNode(parse_point(label),
-                           tuple(parse_point(e) for e in expr[2:]))
     if head == "ordword":
         return sp.ord_word(_run(e, "(ordword ...)") for e in expr[1:])
     if head == "ordtree":
         _, label = shaped(expr[:2], "(ordtree label)")
         return sp.OrdTreeNode(parse_point(label), sp.ord_word(
             _run(e, "(ordtree ...)") for e in expr[2:]))
-    raise SexprError("unknown point constructor %r" % head)
+    return parse_row(expr, _POINTS, "point")
 
 
 def _natural(digits: str) -> int:
@@ -250,31 +286,9 @@ def _run(expr, within: str):
     return parse_point(expr[0]), _ordinal(count)
 
 
-def print_point(p: sp.PointTerm) -> str:
-    if isinstance(p, sp.Atom):
-        return p.name
-    if isinstance(p, sp.NatVal):
-        return str(p.n)
-    if isinstance(p, sp.Pair):
-        return "(pair %s %s)" % (print_point(p.left), print_point(p.right))
-    if isinstance(p, sp.InL):
-        return "(inl %s)" % print_point(p.value)
-    if isinstance(p, sp.InR):
-        return "(inr %s)" % print_point(p.value)
-    if isinstance(p, sp.Word):
-        return "(word%s)" % "".join(" " + print_point(x) for x in p.letters)
-    if isinstance(p, sp.TreeNode):
-        return "(tree %s%s)" % (print_point(p.label),
-                                "".join(" " + print_point(c) for c in p.children))
-    if isinstance(p, sp.OrdWord):
-        return "(ordword%s)" % "".join(
-            " (%s %s)" % (print_point(x), ordinal_token(c))
-            for x, c in p.segments)
-    if isinstance(p, sp.OrdTreeNode):
-        return "(ordtree %s%s)" % (print_point(p.label), "".join(
-            " (%s %s)" % (print_point(t), ordinal_token(c))
-            for t, c in p.children.segments))
-    raise SexprError("not a point: %r" % (p,))
+def _runs(w: sp.OrdWord) -> str:
+    return "".join(" (%s %s)" % (print_term(x), ordinal_token(c))
+                   for x, c in w.segments)
 
 
 # -- set expressions ----------------------------------------------------------
@@ -283,91 +297,41 @@ def print_point(p: sp.PointTerm) -> str:
 def parse_set(expr) -> TUnion[S.OpenExpr, S.ClosedExpr]:
     if isinstance(expr, str):
         expr = read(expr)
-    head = _head(expr, "set")
-    if head in _SET_FORMS:
-        return _form(expr, _SET_FORMS, parse_set)
-    if head in _SET_LISTS:
-        return _SET_LISTS[head](tuple(parse_set(e) for e in expr[1:]))
-    if head == "up":
-        return S.UpClosure(tuple(parse_point(e) for e in expr[1:]))
-    if head == "down":
-        return S.DownClosure(tuple(parse_point(e) for e in expr[1:]))
-    if head == "base":
-        return S.BaseOpen(frozenset(_names(expr[1:], "(base ...)")))
-    raise SexprError("unknown set constructor %r" % head)
+    return parse_row(expr, _SETS, "set")
 
 
-# Fixed-arity forms by head, and set constructors of any number of sets.
-_SPACE_FORMS = _by_head((sp.Sum, "(sum S T)"), (sp.Product, "(prod S T)"),
-                        (sp.Words, "(words S)"), (sp.Trees, "(trees S)"),
-                        (sp.OrdWords, "(ordwords S ORD)"),
-                        (sp.OrdTrees, "(ordtrees S ORD)"))
-_POINT_FORMS = _by_head((sp.Pair, "(pair p q)"), (sp.InL, "(inl p)"),
-                        (sp.InR, "(inr p)"))
-_SET_FORMS = _by_head(
-    (S.Empty, "(empty)"), (S.Whole, "(whole)"), (S.EmptyC, "(emptyc)"),
-    (S.WholeC, "(wholec)"), (S.Rect, "(rect u v)"),
-    (S.SumOpen, "(sumopen u v)"), (S.ConcatUp, "(concatup u v)"),
-    (S.TreeOpen, "(treeopen u v)"), (S.Triangle, "(tri ORD u)"),
-    (S.RTimes, "(rtimes c u)"), (S.Power, "(pow c ORD)"),
+# Field kinds: S spaces, p points, u opens, c closeds, NAME a name that is
+# not a numeral, ORD an ordinal token; T, q and v name a second field of
+# the kind of S, p and u, as in (pair p q).  `inductive` adds F and G.
+_KINDS = {"S": parse_space, "T": parse_space, "p": parse_point,
+          "q": parse_point, "u": parse_set, "v": parse_set, "c": parse_set,
+          "NAME": _name, "ORD": _ordinal}
+
+PRINTERS.update({
+    str: str, Ordinal: ordinal_token, sp.FiniteQO: _print_qo,
+    sp.Nat: lambda s: "nat", sp.Atom: lambda p: p.name,
+    sp.NatVal: lambda p: str(p.n),
+    sp.OrdWord: lambda w: "(ordword%s)" % _runs(w),
+    sp.OrdTreeNode: lambda t: "(ordtree %s%s)" % (print_term(t.label),
+                                                  _runs(t.children))})
+
+_SPACES = grammar(
+    (sp.Sum, "(sum S T)"), (sp.Product, "(prod S T)"),
+    (sp.Words, "(words S)"), (sp.Trees, "(trees S)"),
+    (sp.OrdWords, "(ordwords S ORD)"), (sp.OrdTrees, "(ordtrees S ORD)"))
+_POINTS = grammar(
+    (sp.Pair, "(pair p q)"), (sp.InL, "(inl p)"), (sp.InR, "(inr p)"),
+    (sp.Word, "(word p ...)"), (sp.TreeNode, "(tree p q ...)"))
+_SETS = grammar(
+    (S.Empty, "(empty)"), (S.Whole, "(whole)"), (S.Union, "(union u ...)"),
+    (S.Intersect, "(inter u ...)"), (S.UpClosure, "(up p ...)"),
+    (S.BaseOpen, "(base NAME ...)"), (S.Rect, "(rect u v)"),
+    (S.SumOpen, "(sumopen u v)"), (S.WordOpen, "(wordopen u ...)"),
+    (S.ConcatUp, "(concatup u v)"), (S.TreeOpen, "(treeopen u v)"),
+    (S.Triangle, "(tri ORD u)"), (S.RTimes, "(rtimes c u)"),
     (S.PrefixConcat, "(prefix u v)"), (S.UpSubstructure, "(upsub u)"),
-    (S.CarrierOpen, "(carrier c)"), (S.ComplementOf, "(compl u)"),
-    (S.AtMostOne, "(amo c)"))
-_SET_LISTS = {"union": S.Union, "inter": S.Intersect, "wordopen": S.WordOpen,
-              "unionc": S.UnionC, "interc": S.IntersectC,
-              "ordprod": S.OrdProduct}
-
-
-def print_set(s) -> str:
-    if isinstance(s, S.Empty):
-        return "(empty)"
-    if isinstance(s, S.Whole):
-        return "(whole)"
-    if isinstance(s, S.Union):
-        return "(union%s)" % "".join(" " + print_set(p) for p in s.parts)
-    if isinstance(s, S.Intersect):
-        return "(inter%s)" % "".join(" " + print_set(p) for p in s.parts)
-    if isinstance(s, S.UpClosure):
-        return "(up%s)" % "".join(" " + print_point(p) for p in s.points)
-    if isinstance(s, S.BaseOpen):
-        return "(base%s)" % "".join(" " + n for n in sorted(s.names))
-    if isinstance(s, S.Rect):
-        return "(rect %s %s)" % (print_set(s.left), print_set(s.right))
-    if isinstance(s, S.SumOpen):
-        return "(sumopen %s %s)" % (print_set(s.left), print_set(s.right))
-    if isinstance(s, S.WordOpen):
-        return "(wordopen%s)" % "".join(" " + print_set(p) for p in s.parts)
-    if isinstance(s, S.ConcatUp):
-        return "(concatup %s %s)" % (print_set(s.left), print_set(s.right))
-    if isinstance(s, S.TreeOpen):
-        return "(treeopen %s %s)" % (print_set(s.root_open),
-                                     print_set(s.children_open))
-    if isinstance(s, S.Triangle):
-        return "(tri %s %s)" % (ordinal_token(s.beta), print_set(s.inner))
-    if isinstance(s, S.RTimes):
-        return "(rtimes %s %s)" % (print_set(s.closed), print_set(s.inner))
-    if isinstance(s, S.PrefixConcat):
-        return "(prefix %s %s)" % (print_set(s.letters), print_set(s.rest))
-    if isinstance(s, S.UpSubstructure):
-        return "(upsub %s)" % print_set(s.inner)
-    if isinstance(s, S.CarrierOpen):
-        return "(carrier %s)" % print_set(s.closed)
-    if isinstance(s, S.EmptyC):
-        return "(emptyc)"
-    if isinstance(s, S.WholeC):
-        return "(wholec)"
-    if isinstance(s, S.UnionC):
-        return "(unionc%s)" % "".join(" " + print_set(p) for p in s.parts)
-    if isinstance(s, S.IntersectC):
-        return "(interc%s)" % "".join(" " + print_set(p) for p in s.parts)
-    if isinstance(s, S.DownClosure):
-        return "(down%s)" % "".join(" " + print_point(p) for p in s.points)
-    if isinstance(s, S.ComplementOf):
-        return "(compl %s)" % print_set(s.open)
-    if isinstance(s, S.OrdProduct):
-        return "(ordprod%s)" % "".join(" " + print_set(a) for a in s.atoms)
-    if isinstance(s, S.AtMostOne):
-        return "(amo %s)" % print_set(s.closed)
-    if isinstance(s, S.Power):
-        return "(pow %s %s)" % (print_set(s.closed), ordinal_token(s.beta))
-    raise SexprError("not a set expression: %r" % (s,))
+    (S.CarrierOpen, "(carrier c)"), (S.EmptyC, "(emptyc)"),
+    (S.WholeC, "(wholec)"), (S.UnionC, "(unionc c ...)"),
+    (S.IntersectC, "(interc c ...)"), (S.DownClosure, "(down p ...)"),
+    (S.ComplementOf, "(compl u)"), (S.OrdProduct, "(ordprod c ...)"),
+    (S.AtMostOne, "(amo c)"), (S.Power, "(pow c ORD)"))

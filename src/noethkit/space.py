@@ -14,14 +14,16 @@ list of (letter, ordinal count) runs with distinct adjacent letters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Tuple, Union, get_args
 
 from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _sort_key,
     add,
     cmp,
     cut_tails,
@@ -491,29 +493,43 @@ def minimize_basis(items: Iterable, leq: Callable, key=None) -> Tuple:
 # -- enumeration --------------------------------------------------------------
 
 
-def canonical_key(p: PointTerm):
-    """Deterministic total order on points (used for stable output)."""
-    if isinstance(p, Atom):
-        return (0, p.name)
-    if isinstance(p, NatVal):
-        return (1, p.n)
-    if isinstance(p, Pair):
-        return (2, canonical_key(p.left), canonical_key(p.right))
-    if isinstance(p, InL):
-        return (3, canonical_key(p.value))
-    if isinstance(p, InR):
-        return (4, canonical_key(p.value))
-    if isinstance(p, Word):
-        return (5, tuple(canonical_key(x) for x in p.letters))
-    if isinstance(p, TreeNode):
-        return (6, canonical_key(p.label),
-                tuple(canonical_key(c) for c in p.children))
-    if isinstance(p, OrdWord):
-        from .ordinal import _sort_key
-        return (7, tuple((canonical_key(x), _sort_key(c)) for x, c in p.segments))
-    if isinstance(p, OrdTreeNode):
-        return (8, canonical_key(p.label), canonical_key(p.children))
-    raise SpaceError("not a point: %r" % (p,))
+def canonical_key(t):
+    """Deterministic total order on terms, for stable output: a structural
+    fold over the term's dataclass fields, led by its tag (see `key_rows`).
+    Ordinals fold to their order key and name sets to their sorted names."""
+    try:
+        return _KEYS[type(t)](t)
+    except KeyError:
+        raise SpaceError("no key for %r" % (t,)) from None
+
+
+def key_rows(classes, by_name: bool = False) -> None:
+    """Give each term class its `canonical_key` row: the tag is the class's
+    position in `classes`, or its name when `by_name`."""
+    for position, cls in enumerate(classes):
+        _KEYS[cls] = _row_key(cls.__name__ if by_name else position,
+                              fields(cls))
+
+
+def _row_key(tag, parts):
+    # Specialised by arity: the fold runs in every sort of points and opens.
+    key = canonical_key
+    getters = [attrgetter(f.name) for f in parts]
+    if not getters:
+        return lambda t, k=(tag,): k
+    if len(getters) == 1:
+        get, = getters
+        if parts[0].type in ("str", "int"):  # its own key
+            return lambda t: (tag, get(t))
+        return lambda t: (tag, key(get(t)))
+    get1, get2 = getters  # no term class has more than two fields
+    return lambda t: (tag, key(get1(t)), key(get2(t)))
+
+
+_KEYS: dict = {str: str, int: int, Ordinal: _sort_key,
+               tuple: lambda t: tuple(map(canonical_key, t)),
+               frozenset: lambda s: tuple(sorted(s))}
+key_rows(get_args(PointTerm))
 
 
 # The largest universe enumeration builds, in points; every extent oracle
@@ -568,7 +584,7 @@ def _enumerate(space: SpaceExpr, bound: int) -> Tuple[PointTerm, ...]:
                     words.append((prefix + (x,), remaining - weight))
                     _check_universe(len(words))
         return tuple(Word(prefix) for prefix, _ in words)
-    if isinstance(space, Trees):
+    if isinstance(space, (Trees, OrdTrees)):
         return _enumerate_trees(space, bound)
     if isinstance(space, OrdWords):
         letters = [(x, max(point_size(x), 1))
@@ -584,16 +600,18 @@ def _enumerate(space: SpaceExpr, bound: int) -> Tuple[PointTerm, ...]:
                     _check_universe(len(runs))
         words = (OrdWord(prefix) for prefix, _, _ in runs)
         return tuple(p for p in words if typecheck(space, p))
-    if isinstance(space, OrdTrees):
-        return _enumerate_ord_trees(space, bound)
     raise SpaceError("cannot enumerate %r" % (space,))
 
 
-def _enumerate_trees(space: Trees, bound: int) -> Tuple[TreeNode, ...]:
+def _enumerate_trees(space, bound: int) -> Tuple[PointTerm, ...]:
+    """Trees, or ordinal trees, of each size up to `bound`: a label and a
+    forest of smaller trees; an ordinal tree's forest is a word of runs,
+    kept when the tree typechecks."""
+    runs = isinstance(space, OrdTrees)
     labels = _enumerate(space.base, bound)
     by_size: dict = {}
 
-    def trees_of_size(n: int) -> Tuple[TreeNode, ...]:
+    def trees_of_size(n: int) -> Tuple[PointTerm, ...]:
         if n in by_size:
             return by_size[n]
         out = []
@@ -601,45 +619,10 @@ def _enumerate_trees(space: Trees, bound: int) -> Tuple[TreeNode, ...]:
             lw = max(point_size(label), 1)
             if lw > n:
                 continue
-            for kids in _forests(n - lw, n - lw, trees_of_size):
-                out.append(TreeNode(label, kids))
-                _check_universe(len(out))
-        by_size[n] = tuple(out)
-        return by_size[n]
-
-    result = []
-    for n in range(1, bound + 1):
-        result.extend(trees_of_size(n))
-        _check_universe(len(result))
-    return tuple(result)
-
-
-def _forests(total: int, limit: int, trees_of_size) -> Iterable[Tuple]:
-    """All child tuples with sizes summing to exactly `total`."""
-    if total == 0:
-        yield ()
-        return
-    for first_size in range(1, total + 1):
-        for first in trees_of_size(first_size):
-            for rest in _forests(total - first_size, limit, trees_of_size):
-                yield (first,) + rest
-
-
-def _enumerate_ord_trees(space: OrdTrees, bound: int) -> Tuple[OrdTreeNode, ...]:
-    labels = _enumerate(space.base, bound)
-    by_size: dict = {}
-
-    def trees_of_size(n: int) -> Tuple[OrdTreeNode, ...]:
-        if n in by_size:
-            return by_size[n]
-        out = []
-        for label in labels:
-            lw = max(point_size(label), 1)
-            if lw > n:
-                continue
-            for kids in _ord_forests(n - lw, trees_of_size, None):
-                tree = OrdTreeNode(label, OrdWord(kids))
-                if typecheck(space, tree):
+            for kids in _forests(n - lw, trees_of_size, runs):
+                tree = (OrdTreeNode(label, OrdWord(kids)) if runs
+                        else TreeNode(label, kids))
+                if not runs or typecheck(space, tree):
                     out.append(tree)
                     _check_universe(len(out))
         by_size[n] = tuple(out)
@@ -652,15 +635,18 @@ def _enumerate_ord_trees(space: OrdTrees, bound: int) -> Tuple[OrdTreeNode, ...]
     return tuple(result)
 
 
-def _ord_forests(total: int, trees_of_size, last) -> Iterable[Tuple]:
+def _forests(total: int, trees_of_size, runs: bool, last=None) -> Iterable[Tuple]:
+    """All child tuples with sizes summing to exactly `total`; with `runs`,
+    as (tree, count) runs whose adjacent trees differ."""
     if total == 0:
         yield ()
         return
     for first_size in range(1, total + 1):
         for first in trees_of_size(first_size):
-            if first == last:
+            if runs and first == last:
                 continue
-            for count in range(1, total // first_size + 1):
-                for rest in _ord_forests(total - first_size * count,
-                                         trees_of_size, first):
-                    yield ((first, Ordinal.from_int(count)),) + rest
+            for count in range(1, total // first_size + 1 if runs else 2):
+                item = (first, Ordinal.from_int(count)) if runs else first
+                for rest in _forests(total - first_size * count,
+                                     trees_of_size, runs, first):
+                    yield (item,) + rest

@@ -275,6 +275,8 @@ MALFORMED = [
                  {}, None, 1, id="includes-uncompared-ill-typed"),
     pytest.param(["eval", "includes", "(up (word c))", "(empty)",
                   "--space", WORDS], {}, None, 1, id="includes-ill-typed-left"),
+    pytest.param(["eval", "extent", "(whole)", "--space", "(fin 5 6)"], {},
+                 None, 2, id="numeral-name"),
 ]
 
 

@@ -1,29 +1,60 @@
+import re
+from pathlib import Path
+from typing import get_args
+
 import pytest
 
-from noethkit.inductive import parse_functor, print_functor, words_functor
+import noethkit.sexpr
+from noethkit.inductive import (
+    ConstF,
+    FunctorExpr,
+    IdF,
+    ListF,
+    ProdF,
+    SumF,
+    UnitF,
+    _FUNCTORS,
+    parse_functor,
+    print_functor,
+    trees_functor,
+    words_functor,
+)
 from noethkit.ordinal import OMEGA, ONE, Ordinal, parse_ordinal
 from noethkit.sets import (
     AtMostOne,
     BaseOpen,
+    CarrierOpen,
+    ClosedExpr,
     ComplementOf,
     ConcatUp,
     DownClosure,
     Empty,
+    EmptyC,
     Intersect,
+    IntersectC,
+    OpenExpr,
     OrdProduct,
     Power,
     PrefixConcat,
+    ProductAtom,
+    Rect,
     RTimes,
+    SumOpen,
     TreeOpen,
     Triangle,
     Union,
+    UnionC,
     UpClosure,
     UpSubstructure,
     Whole,
+    WholeC,
     WordOpen,
     default_bound,
 )
 from noethkit.sexpr import (
+    _POINTS,
+    _SETS,
+    _SPACES,
     SexprError,
     parse_point,
     parse_set,
@@ -42,8 +73,11 @@ from noethkit.space import (
     OrdWord,
     OrdWords,
     Pair,
+    PointTerm,
     Product,
     InL,
+    InR,
+    SpaceExpr,
     Sum,
     TreeNode,
     Trees,
@@ -59,6 +93,7 @@ SPACES = [
     Nat(),
     Sum(discrete("a"), Nat()),
     Product(Nat(), Words(discrete("a", "b"))),
+    Words(Nat()),
     Trees(discrete("a", "b")),
     OrdWords(discrete("a", "b"), parse_ordinal("w*2")),
     OrdTrees(discrete("a"), OMEGA),
@@ -69,6 +104,7 @@ POINTS = [
     NatVal(7),
     Pair(NatVal(1), Atom("b")),
     InL(Atom("a")),
+    InR(Pair(NatVal(0), Word(()))),
     Word((Atom("a"), Atom("b"), Atom("a"))),
     Word(()),
     TreeNode(Atom("a"), (TreeNode(Atom("b"), ()),)),
@@ -90,7 +126,37 @@ SETS = [
     OrdProduct((AtMostOne(DownClosure((Atom("a"),))),
                 Power(DownClosure((Atom("b"),)), parse_ordinal("w+1")))),
     ComplementOf(WordOpen((BaseOpen(frozenset("a")),))),
+    Rect(UpClosure((Atom("a"), Atom("b"))), Whole()),
+    SumOpen(BaseOpen(frozenset()), Empty()),
+    WordOpen((BaseOpen(frozenset("ab")), UpClosure((Atom("b"),)),
+              BaseOpen(frozenset("a")))),
+    CarrierOpen(UnionC((DownClosure((Word(()),)), EmptyC()))),
+    IntersectC((WholeC(), DownClosure((NatVal(3), NatVal(4))))),
+    UpClosure((InL(Atom("a")), InR(NatVal(2)))),
+    DownClosure(()),
+    EmptyC(),
+    WholeC(),
+    UnionC(()),
+    BaseOpen(frozenset("ba")),
+    AtMostOne(WholeC()),
+    Power(ComplementOf(Whole()), OMEGA),
 ]
+
+FUNCTORS = [
+    words_functor(discrete("a", "b")),
+    trees_functor(discrete("a")),
+    UnitF(),
+    IdF(),
+    ConstF(Nat()),
+    ConstF(chain("a", "b")),
+    ListF(SumF(IdF(), ProdF(UnitF(), ConstF(Words(discrete("a")))))),
+]
+
+# Every constructor of every grammar, with the parser of its grammar.
+CONSTRUCTORS = [(cls, parse) for union, parse in [
+    (SpaceExpr, parse_space), (PointTerm, parse_point), (OpenExpr, parse_set),
+    (ClosedExpr, parse_set), (ProductAtom, parse_set),
+    (FunctorExpr, parse_functor)] for cls in get_args(union)]
 
 
 class TestRoundTrips:
@@ -110,6 +176,42 @@ class TestRoundTrips:
         f = words_functor(discrete("a", "b"))
         assert parse_functor(print_functor(f)) == f
         assert parse_functor("(mu (sum unit (prod (fin a b) id)))") == f
+
+    def test_name_sets_print_sorted(self):
+        names = "".join(map(chr, range(ord("a"), ord("z") + 1)))
+        assert print_set(BaseOpen(frozenset(names))) == \
+            "(base %s)" % " ".join(names)
+
+    @pytest.mark.parametrize("cls, parse", CONSTRUCTORS,
+                             ids=[cls.__name__ for cls, _ in CONSTRUCTORS])
+    def test_every_constructor(self, cls, parse):
+        examples = [x for x in SPACES + POINTS + SETS + FUNCTORS
+                    if type(x) is cls]
+        assert examples, "no round-trip example of %s" % cls.__name__
+        for x in examples:
+            assert parse(print_functor(x)) == x
+
+
+def _block_heads(text: str) -> set:
+    return set(re.findall(r"\(([a-z]+)", text))
+
+
+class TestDocs:
+    """Every head of the grammar tables is documented in the sexpr module
+    docstring and in the README grammar block."""
+
+    HEADS = sorted(set(_SPACES) | set(_POINTS) | set(_SETS) | set(_FUNCTORS))
+
+    def readme_grammar(self) -> str:
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text()
+        start = text.index("### Grammar")
+        return text[start:text.index("```", text.index("```", start) + 3)]
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_head_is_documented(self, head):
+        assert head in _block_heads(noethkit.sexpr.__doc__)
+        assert head in _block_heads(self.readme_grammar())
 
 
 class TestErrors:

@@ -235,6 +235,22 @@ class TestEnumerate:
         assert chain2 in pts
         assert all(typecheck(OrdTrees(AB, OMEGA), p) for p in pts)
 
+    @pytest.mark.parametrize("bound", range(1, 6))
+    def test_ord_trees_with_finite_runs_are_the_trees(self, bound):
+        # Expanding each run of children is a size-preserving bijection
+        # from the omega-branching ordinal trees onto the finite trees.
+        def expand(p):
+            return TreeNode(p.label, tuple(
+                map(expand, ord_to_word(p.children).letters)))
+
+        trees = enumerate_points(TAB, bound)
+        ord_trees = enumerate_points(OrdTrees(AB, OMEGA), bound)
+        assert sorted(map(expand, ord_trees), key=trees.index) == list(trees)
+        # Below alpha = 2 a tree is a chain: a word of 1..bound labels.
+        chains = enumerate_points(OrdTrees(AB, Ordinal.from_int(2)), bound)
+        assert len(chains) == 2 ** (bound + 1) - 2
+        assert set(chains) <= set(ord_trees)
+
 
 class TestFiniteQO:
     def test_validation_rejects_nontransitive(self):
