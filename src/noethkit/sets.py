@@ -8,9 +8,14 @@ expressions cover downward closures, complements, and ordinal products of
 F^{<b} / F^{<=1} atoms.
 
 Membership is structural recursion, exact except for ConcatUp on ordinal
-words with infinite runs (see space.ow_cut_pairs).  The universal fallback
-oracle is `extent`: an enumerated finite universe filtered by membership,
-held as an int bitmask, with lattice questions decided by `meet_table`.
+words with infinite runs (see space.ow_cut_pairs).  The point it is asked
+about is typechecked once at entry; the points of each closure it reads
+are typechecked once per read, and a point that does not typecheck is a
+domain error.  The universal fallback oracle is `extent`: an enumerated
+finite universe held as an int bitmask, where up-closures are read from
+the up table of the point order, down-closures take one pass of it, and
+every other open is built from its parts' masks or filtered by
+membership, with lattice questions decided by `meet_table`.
 `includes` is three-valued, with two exact fragments (unions of upward
 closures, and the letter-pattern inclusion rule) and an extent fallback
 that records its bound.
@@ -277,12 +282,18 @@ key_rows(get_args(OpenExpr) + get_args(ClosedExpr) + get_args(ProductAtom),
 
 
 def member_open(space: SpaceExpr, p: PointTerm, u: OpenExpr) -> bool:
-    if not typecheck(space, p):
-        raise SetError("point %r does not typecheck in %r" % (p, space))
+    _require_point(space, p)
     return _member(space, p, u)
 
 
+def _require_point(space: SpaceExpr, p: PointTerm) -> None:
+    if not typecheck(space, p):
+        raise SetError("point %r does not typecheck in %r" % (p, space))
+
+
 def _member(space, p, u) -> bool:
+    # p is trusted to typecheck in space; the points of a closure are
+    # checked here, once per call, and then compared with `_leq`.
     if isinstance(u, Empty):
         return False
     if isinstance(u, Whole):
@@ -292,7 +303,8 @@ def _member(space, p, u) -> bool:
     if isinstance(u, Intersect):
         return all(_member(space, p, part) for part in u.parts)
     if isinstance(u, UpClosure):
-        return any(point_leq(space, e, p) for e in u.points)
+        _require_points(space, u.points)
+        return any(_leq(space, e, p) for e in u.points)
     if isinstance(u, BaseOpen):
         return isinstance(p, Atom) and p.name in u.names
     if isinstance(u, Rect):
@@ -314,7 +326,7 @@ def _member(space, p, u) -> bool:
         return _member_tree_open(space, p, u)
     if isinstance(u, Triangle):
         base, word = _as_ord_word(space, p)
-        return all(_member(space, s, u.inner)
+        return all(_member(space, _word_point(space, s), u.inner)
                    for s in ow_suffixes_strictly_after(word, u.beta))
     if isinstance(u, RTimes):
         return _member_rtimes(space, p, u)
@@ -340,6 +352,13 @@ def _as_ord_word(space, p):
     if isinstance(p, OrdWord):
         return base, p
     raise SetError("not a word point: %r" % (p,))
+
+
+def _word_point(space, word: OrdWord) -> PointTerm:
+    """An ordinal word of finite runs as a point of the word space."""
+    if isinstance(space, Words):
+        return ord_to_word(word)
+    return word
 
 
 def _member_word_open(space, p, u: WordOpen) -> bool:
@@ -406,7 +425,8 @@ def _member_rtimes(space, p, u: RTimes) -> bool:
     base, word = _as_ord_word(space, p)
     for i, (letter, _) in enumerate(word.segments):
         if not _member_closed(base, letter, u.closed):
-            if _member(space, ow_suffix_from(word, i), u.inner):
+            if _member(space, _word_point(space, ow_suffix_from(word, i)),
+                       u.inner):
                 return True
     return False
 
@@ -452,8 +472,7 @@ def _substructures(space, p):
 
 
 def member_closed(space: SpaceExpr, p: PointTerm, c: ClosedExpr) -> bool:
-    if not typecheck(space, p):
-        raise SetError("point %r does not typecheck in %r" % (p, space))
+    _require_point(space, p)
     return _member_closed(space, p, c)
 
 
@@ -467,7 +486,8 @@ def _member_closed(space, p, c) -> bool:
     if isinstance(c, IntersectC):
         return all(_member_closed(space, p, part) for part in c.parts)
     if isinstance(c, DownClosure):
-        return any(point_leq(space, p, e) for e in c.points)
+        _require_points(space, c.points)
+        return any(_leq(space, p, e) for e in c.points)
     if isinstance(c, ComplementOf):
         return not _member(space, p, c.open)
     if isinstance(c, OrdProduct):
@@ -675,10 +695,13 @@ class ExtentOracle:
     `universe[i]`.  Unions and intersections are computed from their parts'
     masks; one-letter prefix cylinders, upward concatenations and suffix
     triangles from their parts' masks by index lookups; letter patterns of
-    two or more parts as upward concatenations; everything else falls back
-    to the membership recursion, one pass over the universe.  Universe
-    points typecheck by construction, so the oracle calls the memoised
-    point order `_leq` without `point_leq`'s checks."""
+    two or more parts as upward concatenations.  An upward closure is the
+    OR of the up-table rows of its points (the universe is downward closed,
+    so a point outside it adds nothing), and a downward closure is one pass
+    of the point order; the points of either are typechecked once.
+    Everything else falls back to the membership recursion, one pass over
+    the universe.  Universe points typecheck by construction, so the oracle
+    calls the memoised point order `_leq` without `point_leq`'s checks."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
@@ -696,8 +719,13 @@ class ExtentOracle:
         # share an entry.
         if _is_closed_expr(s):
             if s not in self._closed:
-                self._closed[s] = self._filter(
-                    lambda p: _member_closed(self.space, p, s))
+                if isinstance(s, DownClosure):
+                    points = _checked_points(self.space, s.points)
+                    keep = lambda p: any(_leq(self.space, p, e)
+                                         for e in points)
+                else:
+                    keep = lambda p: _member_closed(self.space, p, s)
+                self._closed[s] = self._filter(keep)
             return self._closed[s]
         if s not in self._open:
             self._open[s] = self._compute_open(s)
@@ -719,6 +747,11 @@ class ExtentOracle:
                 self._up[i] = self._filter(lambda q: _leq(self.space, p, q))
         return self._up
 
+    def _up_of(self, mask: int) -> int:
+        """The mask of the points above some point of `mask`."""
+        up = self._ups(mask)
+        return reduce(or_, (up[i] for i in _bits(mask)), 0)
+
     def _compute_open(self, s) -> int:
         space = self.space
         if isinstance(s, Empty):
@@ -729,6 +762,16 @@ class ExtentOracle:
             return reduce(or_, map(self.mask, s.parts), 0)
         if isinstance(s, Intersect):
             return reduce(and_, map(self.mask, s.parts), self.full)
+        if isinstance(s, UpClosure):
+            # The universe is downward closed (the point order never lowers
+            # the size, and no word of finite runs lies above one with an
+            # infinite run), so a point outside it has nothing above it
+            # there: only the rows of the points inside count.
+            inside = 0
+            for q in _checked_points(space, s.points):
+                if q in self.index:
+                    inside |= 1 << self.index[q]
+            return self._up_of(inside)
         if (isinstance(s, PrefixConcat) and isinstance(s.letters, BaseOpen)
                 and isinstance(space, Words)):
             rest = self.points(self.mask(s.rest))
@@ -759,13 +802,12 @@ class ExtentOracle:
                     i = self.index.get(self._glue(u, v))
                     if i is not None:
                         glued |= 1 << i
-            up = self._ups(glued)
-            return reduce(or_, (up[i] for i in _bits(glued)), 0)
+            return self._up_of(glued)
         if isinstance(s, Triangle):
             inner = self.mask(s.inner)
 
             def inside(q):
-                i = self.index.get(self._as_point(q))
+                i = self.index.get(_word_point(space, q))
                 return i is not None and inner >> i & 1
 
             return self._filter(lambda p: all(
@@ -792,11 +834,6 @@ class ExtentOracle:
                 _bits(mask),
                 lambda i, j: _leq(self.space, universe[i], universe[j])))
         return self._minimal[mask]
-
-    def _as_point(self, word: OrdWord) -> PointTerm:
-        if isinstance(self.space, Words):
-            return ord_to_word(word)
-        return word
 
     def points(self, mask: int) -> List[PointTerm]:
         """The points of a mask, in enumeration order."""
@@ -957,8 +994,8 @@ def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
             all_up = False
             candidate = True
         else:
-            fresh = list(dict.fromkeys(f for f in points if f not in known))
-            _require_points(space, fresh)
+            fresh = _checked_points(space,
+                                    (f for f in points if f not in known))
             candidate = all(any(_leq(space, g, f) for g in reversed(known))
                             for f in fresh)
             known.update(dict.fromkeys(fresh))
@@ -973,6 +1010,13 @@ def _require_points(space: SpaceExpr, points: Iterable[PointTerm]) -> None:
     for p in points:
         if not typecheck(space, p):
             raise SpaceError("points do not typecheck in %r" % (space,))
+
+
+def _checked_points(space: SpaceExpr, points) -> Tuple[PointTerm, ...]:
+    """The distinct points of a closure, each typechecked once."""
+    points = tuple(dict.fromkeys(points))
+    _require_points(space, points)
+    return points
 
 
 # -- closures, restriction, specialisation ------------------------------------
@@ -1062,6 +1106,8 @@ def lattice_contains(table: List[int], target: int) -> bool:
 def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:
     """Specialisation preorder of the generated topology: every subbasic open
     containing x contains y."""
+    _require_point(t.space, x)
+    _require_point(t.space, y)
     for u in t.effective_subbasis():
         if _member(t.space, x, u) and not _member(t.space, y, u):
             return False

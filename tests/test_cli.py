@@ -275,6 +275,10 @@ MALFORMED = [
                  {}, None, 1, id="includes-uncompared-ill-typed"),
     pytest.param(["eval", "includes", "(up (word c))", "(empty)",
                   "--space", WORDS], {}, None, 1, id="includes-ill-typed-left"),
+    pytest.param(["eval", "member", "(word a)", "(up (word a) (word c))",
+                  "--space", WORDS], {}, None, 1, id="member-up-ill-typed"),
+    pytest.param(["eval", "member", "(word a)", "(down (word a) (word c))",
+                  "--space", WORDS], {}, None, 1, id="member-down-ill-typed"),
     pytest.param(["eval", "extent", "(whole)", "--space", "(fin 5 6)"], {},
                  None, 2, id="numeral-name"),
 ]

@@ -22,6 +22,7 @@ from noethkit.sets import (
     Rect,
     RTimes,
     RewriteShapeError,
+    SetError,
     TopologyDesc,
     TreeOpen,
     Triangle,
@@ -66,6 +67,7 @@ from noethkit.space import (
     enumerate_points,
     finite_qo,
     ord_to_word,
+    ord_word,
     point_leq,
 )
 
@@ -190,6 +192,15 @@ class TestMemberOpen:
                 want = triangle_def(WAB, word, beta, inner)
                 assert got == want, (beta, inner, word)
 
+    def test_triangle_of_a_closure_on_finite_words(self):
+        # The suffixes of a finite word are words of the same space, so a
+        # closure of words applies to them.
+        inner = UpClosure((w("b"),))
+        for beta in (ONE, Ordinal.from_int(2), OMEGA):
+            for word in enumerate_points(WAB, 3):
+                assert member_open(WAB, word, Triangle(beta, inner)) == \
+                    triangle_def(WAB, word, beta, inner), (beta, word)
+
     def test_tree_open_subtree_search(self):
         from noethkit.sets import TreeOpen
         abcd = discrete("a", "b", "c", "d")
@@ -216,7 +227,8 @@ class TestMemberOpen:
 
     def test_rtimes_matches_definition(self):
         closeds = [DownClosure((Atom("a"),)), DownClosure((Atom("b"),)), EmptyC()]
-        inners = [WordOpen((UB,)), WordOpen((UA,)), Whole()]
+        inners = [WordOpen((UB,)), WordOpen((UA,)), Whole(),
+                  UpClosure((w("b"),))]
         for f, inner in itertools.product(closeds, inners):
             expr = RTimes(f, inner)
             for word in enumerate_points(WAB, 4):
@@ -471,6 +483,12 @@ class TestRestrictAndSpecialisation:
         t = TopologyDesc(Nat(), tuple(UpClosure((NatVal(k),)) for k in range(8)))
         assert spec_leq(t, NatVal(2), NatVal(5))
         assert not spec_leq(t, NatVal(5), NatVal(2))
+
+    def test_spec_leq_rejects_an_ill_typed_point(self):
+        t = TopologyDesc(Nat(), (UpClosure((NatVal(1),)),))
+        for x, y in ((Atom("a"), NatVal(2)), (NatVal(2), Atom("a"))):
+            with pytest.raises(SetError):
+                spec_leq(t, x, y)
 
     def test_restricted_formula_on_random_posets(self):
         rng = random.Random(7)
@@ -741,6 +759,60 @@ TREE_OPENS = st.recursive(
     max_leaves=4)
 
 
+NAT3 = Product(Nat(), Product(Nat(), Nat()))
+
+
+def nat3(x, y, z):
+    return Pair(NatVal(x), Pair(NatVal(y), NatVal(z)))
+
+
+FINITE_RUNS = st.lists(
+    st.tuples(st.sampled_from([Atom("a"), Atom("b")]),
+              st.sampled_from([ONE, Ordinal.from_int(2),
+                               Ordinal.from_int(3)])),
+    max_size=3)
+TREE_POINTS = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b")]).map(lambda a: TreeNode(a, ())),
+    lambda kids: st.tuples(st.sampled_from([Atom("a"), Atom("b")]),
+                           st.lists(kids, min_size=1, max_size=2)).map(
+        lambda lc: TreeNode(lc[0], tuple(lc[1]))),
+    max_leaves=4)
+# Points inside the bound of their space and beyond it; over ordinal words
+# also points with an infinite run, which the universe never holds.
+CLOSURE_POINTS = {
+    WAB: st.text("ab", max_size=7).map(w),
+    OWAB: st.one_of(FINITE_RUNS.map(ord_word), st.sampled_from([
+        ow(("a", OMEGA)), ow(("b", ONE), ("a", OMEGA)),
+        ow(("a", OMEGA), ("b", Ordinal.from_int(2)))])),
+    Trees(AB): TREE_POINTS,
+    NAT3: st.builds(nat3, *[st.integers(0, 6)] * 3),
+}
+
+
+@st.composite
+def closure_points(draw, space):
+    """A tuple of points, possibly empty, with some drawn twice."""
+    points = draw(st.lists(CLOSURE_POINTS[space], max_size=3))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return tuple(points)
+
+
+def closure_opens(space):
+    """Up-closures as leaves and under unions and intersections (and, over
+    words, under the other word combinators)."""
+    if space in (WAB, OWAB):
+        combine = _combinators
+    else:
+        def combine(kids):
+            return [st.lists(kids, min_size=2, max_size=3).map(
+                        lambda ps: Union(tuple(ps))),
+                    st.lists(kids, min_size=2, max_size=3).map(
+                        lambda ps: Intersect(tuple(ps)))]
+    return st.recursive(closure_points(space).map(UpClosure),
+                        lambda kids: st.one_of(*combine(kids)), max_leaves=4)
+
+
 def _extent_by_membership(oracle, u) -> frozenset:
     return frozenset(p for p in oracle.universe
                      if member_open(oracle.space, p, u))
@@ -769,6 +841,20 @@ class TestMaskOracle:
         oracle = oracle_for(Trees(AB), 3)
         assert oracle.extent(u) == _extent_by_membership(oracle, u)
 
+    @pytest.mark.parametrize("space, bound", [
+        (WAB, 3), (WAB, 4), (WAB, 5), (OWAB, 4), (Trees(AB), 3), (NAT3, 3),
+        (NAT3, 4)], ids=["words-3", "words-4", "words-5", "ordwords-4",
+                         "trees-3", "nat3-3", "nat3-4"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closure_extents_match_membership(self, space, bound, data):
+        oracle = oracle_for(space, bound)
+        u = data.draw(closure_opens(space))
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+        down = DownClosure(data.draw(closure_points(space)))
+        assert oracle.extent(down) == frozenset(
+            p for p in oracle.universe if member_closed(space, p, down))
+
     def test_word_open_with_parts_not_upward_closed(self):
         # Over a <= b the part {a} is not upward closed, so <{a},{a}> is not
         # the upward closure of <{a}> <{a}>: "ab" is above "aa" but has
@@ -786,6 +872,48 @@ class TestMaskOracle:
         assert got == tuple(p for p in oracle.universe
                             if member_open(WAB, p, u))
         assert oracle.extent(u) == frozenset(got)
+
+
+class TestClosureMaskCost:
+    """A count guard: the mask of an up-closure typechecks each distinct
+    point once and reads the up table, never the checked point order."""
+
+    def test_up_closure_mask_typechecks_each_point_once(self, monkeypatch):
+        import noethkit
+        from noethkit import sets as sets_mod, space as space_mod
+        points = (nat3(1, 0, 2), nat3(0, 3, 1), nat3(2, 2, 0), nat3(4, 1, 1))
+        noethkit.clear_caches()
+        oracle = oracle_for(NAT3, 4)
+        calls = {"typecheck": 0, "point_leq": 0}
+        depth = 0
+        typecheck = space_mod.typecheck
+
+        def counting_typecheck(*args):
+            nonlocal depth
+            calls["typecheck"] += depth == 0
+            depth += 1
+            try:
+                return typecheck(*args)
+            finally:
+                depth -= 1
+
+        def counting_point_leq(*args):
+            calls["point_leq"] += 1
+            return point_leq(*args)
+
+        def up_entries():
+            return [o["up_entries"] for o in noethkit.cache_stats()["oracles"]
+                    if (o["space"], o["bound"]) == (NAT3, 4)]
+
+        monkeypatch.setattr(space_mod, "typecheck", counting_typecheck)
+        monkeypatch.setattr(sets_mod, "typecheck", counting_typecheck)
+        monkeypatch.setattr(space_mod, "point_leq", counting_point_leq)
+        monkeypatch.setattr(sets_mod, "point_leq", counting_point_leq)
+        oracle.mask(UpClosure(points + points[:2]))
+        assert calls == {"typecheck": len(points), "point_leq": 0}
+        assert up_entries() == [len(points)]
+        oracle.mask(UpClosure(tuple(reversed(points))))
+        assert up_entries() == [len(points)]
 
 
 class TestCacheInspection:
