@@ -13,9 +13,9 @@ about is typechecked once at entry; the points of each closure it reads
 are typechecked once per read, and a point that does not typecheck is a
 domain error.  The universal fallback oracle is `extent`: an enumerated
 finite universe held as an int bitmask, where up-closures are read from
-the up table of the point order, down-closures take one pass of it, and
-every other open is built from its parts' masks or filtered by
-membership, with lattice questions decided by `meet_table`.
+the up table of the point order and every other set is built from its
+parts' masks or filtered by membership, with lattice questions decided
+by `meet_table`.
 `includes` is three-valued, with two exact fragments (unions of upward
 closures, and the letter-pattern inclusion rule) and an extent fallback
 that records its bound.
@@ -696,12 +696,12 @@ class ExtentOracle:
     masks; one-letter prefix cylinders, upward concatenations and suffix
     triangles from their parts' masks by index lookups; letter patterns of
     two or more parts as upward concatenations.  An upward closure is the
-    OR of the up-table rows of its points (the universe is downward closed,
-    so a point outside it adds nothing), and a downward closure is one pass
-    of the point order; the points of either are typechecked once.
-    Everything else falls back to the membership recursion, one pass over
-    the universe.  Universe points typecheck by construction, so the oracle
-    calls the memoised point order `_leq` without `point_leq`'s checks."""
+    OR of the up-table rows of its points, which are typechecked once; the
+    universe is downward closed (see `space.enumerate_points`), so a point
+    outside it adds nothing.  Everything else falls back to the membership
+    recursion, one pass over the universe.  Universe points typecheck by
+    construction, so the oracle calls the memoised point order `_leq`
+    without `point_leq`'s checks."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
@@ -719,13 +719,8 @@ class ExtentOracle:
         # share an entry.
         if _is_closed_expr(s):
             if s not in self._closed:
-                if isinstance(s, DownClosure):
-                    points = _checked_points(self.space, s.points)
-                    keep = lambda p: any(_leq(self.space, p, e)
-                                         for e in points)
-                else:
-                    keep = lambda p: _member_closed(self.space, p, s)
-                self._closed[s] = self._filter(keep)
+                self._closed[s] = self._filter(
+                    lambda p: _member_closed(self.space, p, s))
             return self._closed[s]
         if s not in self._open:
             self._open[s] = self._compute_open(s)
@@ -763,10 +758,9 @@ class ExtentOracle:
         if isinstance(s, Intersect):
             return reduce(and_, map(self.mask, s.parts), self.full)
         if isinstance(s, UpClosure):
-            # The universe is downward closed (the point order never lowers
-            # the size, and no word of finite runs lies above one with an
-            # infinite run), so a point outside it has nothing above it
-            # there: only the rows of the points inside count.
+            # The universe is downward closed (see space.enumerate_points),
+            # so a point outside it has nothing above it there: only the
+            # rows of the points inside count.
             inside = 0
             for q in _checked_points(space, s.points):
                 if q in self.index:

@@ -546,7 +546,14 @@ def _check_universe(count: int) -> None:
 def enumerate_points(space: SpaceExpr, size_bound: int) -> Tuple[PointTerm, ...]:
     """All points of structural size <= size_bound, duplicate-free, sorted by
     (size, canonical key).  Ordinal words are enumerated with finite runs.
-    Raises SpaceError as soon as a universe passes MAX_UNIVERSE points."""
+    Raises SpaceError as soon as a universe passes MAX_UNIVERSE points.
+
+    The result is downward closed in the point order: every well-typed
+    point below one of its points is in it.  `point_size` never decreases
+    along `_leq`, no point with an infinite run lies below one of finite
+    runs, and every well-typed point of finite runs within the bound is
+    listed.  The extent oracle relies on this for up-closure masks, so a
+    new constructor or size rule must keep it."""
     points = sorted(set(_enumerate(space, size_bound)),
                     key=lambda p: (point_size(p), canonical_key(p)))
     return tuple(points)

@@ -52,13 +52,18 @@ from noethkit.sets import (
 )
 from noethkit.space import (
     Atom,
+    InL,
+    InR,
     NatVal,
     Nat,
+    OrdTreeNode,
+    OrdTrees,
     OrdWord,
     OrdWords,
     Pair,
     Product,
     SpaceError,
+    Sum,
     TreeNode,
     Trees,
     Word,
@@ -69,6 +74,7 @@ from noethkit.space import (
     ord_to_word,
     ord_word,
     point_leq,
+    typecheck,
 )
 
 from oracles import (good_index_brute, higman_brute, in_generated_lattice,
@@ -777,8 +783,20 @@ TREE_POINTS = st.recursive(
                            st.lists(kids, min_size=1, max_size=2)).map(
         lambda lc: TreeNode(lc[0], tuple(lc[1]))),
     max_leaves=4)
+OTAB = OrdTrees(AB, parse_ordinal("w*2"))
+ORD_TREE_POINTS = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b")]).map(
+        lambda a: OrdTreeNode(a, OrdWord(()))),
+    lambda kids: st.tuples(
+        st.sampled_from([Atom("a"), Atom("b")]),
+        st.lists(st.tuples(kids, st.sampled_from(
+            [ONE, Ordinal.from_int(2), OMEGA])), min_size=1, max_size=2)).map(
+        lambda lc: OrdTreeNode(lc[0], ord_word(lc[1]))),
+    max_leaves=4).filter(lambda t: typecheck(OTAB, t))
+SUM_WN = Sum(WAB, Nat())
 # Points inside the bound of their space and beyond it; over ordinal words
-# also points with an infinite run, which the universe never holds.
+# and ordinal trees also points with an infinite run, which the universe
+# never holds.
 CLOSURE_POINTS = {
     WAB: st.text("ab", max_size=7).map(w),
     OWAB: st.one_of(FINITE_RUNS.map(ord_word), st.sampled_from([
@@ -786,6 +804,9 @@ CLOSURE_POINTS = {
         ow(("a", OMEGA), ("b", Ordinal.from_int(2)))])),
     Trees(AB): TREE_POINTS,
     NAT3: st.builds(nat3, *[st.integers(0, 6)] * 3),
+    OTAB: ORD_TREE_POINTS,
+    SUM_WN: st.one_of(st.text("ab", max_size=6).map(lambda t: InL(w(t))),
+                      st.integers(0, 6).map(lambda n: InR(NatVal(n)))),
 }
 
 
@@ -843,8 +864,9 @@ class TestMaskOracle:
 
     @pytest.mark.parametrize("space, bound", [
         (WAB, 3), (WAB, 4), (WAB, 5), (OWAB, 4), (Trees(AB), 3), (NAT3, 3),
-        (NAT3, 4)], ids=["words-3", "words-4", "words-5", "ordwords-4",
-                         "trees-3", "nat3-3", "nat3-4"])
+        (NAT3, 4), (OTAB, 3), (SUM_WN, 3)],
+        ids=["words-3", "words-4", "words-5", "ordwords-4", "trees-3",
+             "nat3-3", "nat3-4", "ordtrees-3", "sum-3"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_closure_extents_match_membership(self, space, bound, data):
