@@ -110,9 +110,7 @@ def cmd_eval(args) -> dict:
     bound = args.bound if args.bound is not None else S.default_bound()
     values = [PARSERS[kind](text) for kind, text in zip(kinds, args.args)]
     if args.query == "member":
-        point, expr = values
-        member = S.member_closed if S._is_closed_expr(expr) else S.member_open
-        return {"query": "member", "result": member(space, point, expr)}
+        return {"query": "member", "result": S.member_open(space, *values)}
     if args.query == "includes":
         r = S.includes(space, *values, bound)
         return {

@@ -7,6 +7,15 @@ prefix cylinders (the non-up-closed opens of the prefix topology).  Closed
 expressions cover downward closures, complements, and ordinal products of
 F^{<b} / F^{<=1} atoms.
 
+Each constructor is a class holding its meaning: `member(space, p)`, its
+membership; for an open, `normal()`, its own rewrites once its open fields
+are normal (`normalize_open` is the fold); and, where it has one, `mask`,
+an extent rule faster than the default filter by membership.  The closed
+twins of Empty, Whole, Union and Intersect take their membership rules, so
+open and closed membership are one recursion.  Adding a constructor takes
+its class with these rules, its place in `OpenExpr` or `ClosedExpr`, and
+one `sexpr` grammar row.
+
 Membership is structural recursion, exact except for ConcatUp on ordinal
 words with infinite runs (see space.ow_cut_pairs).  The point it is asked
 about is typechecked once at entry; the points of each closure it reads
@@ -24,7 +33,7 @@ that records its bound.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import (Dict, Iterable, List, Optional, Tuple, Union as TUnion,
@@ -85,124 +94,399 @@ def default_bound() -> int:
                    "got %r" % text)
 
 
+class _Set:
+    """Defaults of the constructors: no membership (the product atoms are no
+    sets), and a mask that filters the universe by membership.  Each
+    `member` rule trusts p to typecheck in the space (`member_open` checks)."""
+
+    strict = True  # an open with an empty open field is empty
+
+    def member(self, space, p) -> bool:
+        raise SetError("not an open expression: %r" % (self,))
+
+    def mask(self, oracle: ExtentOracle) -> int:
+        return oracle._filter(lambda p: self.member(oracle.space, p))
+
+
+class _ClosedSet(_Set):
+    """A closed constructor: the oracle keeps its masks apart."""
+
+
+def _no_rewrite(u):
+    """The normal-form rule of an open with no rewrite of its own."""
+    return u
+
+
 # -- open expressions ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(_Set):
+    normal = _no_rewrite
+
+    def member(self, space, p) -> bool:
+        return False
+
+    def mask(self, oracle) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
-class Whole:
-    pass
+class Whole(_Set):
+    normal = _no_rewrite
+
+    def member(self, space, p) -> bool:
+        return True
+
+    def mask(self, oracle) -> int:
+        return oracle.full
 
 
 @dataclass(frozen=True)
-class Union:
-    parts: Tuple["OpenExpr", ...]
+class Union(_Set):
+    parts: Tuple[OpenExpr, ...]
+    strict = False
+    unit, absorbing = Empty, Whole  # the part that drops out, and that wins
+
+    def member(self, space, p) -> bool:
+        return any(part.member(space, p) for part in self.parts)
+
+    def mask(self, oracle) -> int:
+        return reduce(or_, map(oracle.mask, self.parts), 0)
+
+    def normal(self):
+        parts = []
+        for part in self.parts:
+            if isinstance(part, self.absorbing):
+                return part
+            if isinstance(part, type(self)):
+                parts.extend(part.parts)
+            elif not isinstance(part, self.unit):
+                parts.append(part)
+        unique = {open_key(p): p for p in reversed(parts)}  # the first of each
+        parts = [unique[k] for k in sorted(unique)]
+        if len(parts) == 1:
+            return parts[0]
+        return type(self)(tuple(parts)) if parts else self.unit()
 
 
 @dataclass(frozen=True)
-class Intersect:
-    parts: Tuple["OpenExpr", ...]
+class Intersect(_Set):
+    parts: Tuple[OpenExpr, ...]
+    unit, absorbing = Whole, Empty
+
+    def member(self, space, p) -> bool:
+        return all(part.member(space, p) for part in self.parts)
+
+    def mask(self, oracle) -> int:
+        return reduce(and_, map(oracle.mask, self.parts), oracle.full)
+
+    normal = Union.normal
 
 
 @dataclass(frozen=True)
-class UpClosure:
+class UpClosure(_Set):
     """Upward closure of finitely many points in the point embedding order."""
 
     points: Tuple[PointTerm, ...]
 
+    def member(self, space, p) -> bool:
+        # The points are checked once per call, then compared with `_leq`.
+        _require_points(space, self.points)
+        return any(_leq(space, e, p) for e in self.points)
+
+    def mask(self, oracle) -> int:
+        # The universe is downward closed (see space.enumerate_points), so a
+        # point outside it has nothing above it there: only the rows of the
+        # points inside count.
+        return oracle._up_of(oracle.mask_of(
+            _checked_points(oracle.space, self.points)))
+
+    def normal(self):
+        if not self.points:
+            return Empty()
+        if Word(()) in self.points or OrdWord(()) in self.points:
+            return Whole()
+        return self
+
 
 @dataclass(frozen=True)
-class BaseOpen:
+class BaseOpen(_Set):
     """A subset of a finite base, by element names (must be up-closed to be
     a legitimate open of the base quasi-order)."""
 
     names: frozenset
+    normal = _no_rewrite
 
     def __post_init__(self):
         object.__setattr__(self, "names", frozenset(self.names))
 
-
-@dataclass(frozen=True)
-class Rect:
-    left: "OpenExpr"
-    right: "OpenExpr"
-
-
-@dataclass(frozen=True)
-class SumOpen:
-    left: "OpenExpr"
-    right: "OpenExpr"
+    def member(self, space, p) -> bool:
+        if not (isinstance(space, FiniteQO) and self.names <= space.element_set):
+            raise SetError("(base%s) needs a finite base holding its names, "
+                           "got %r" % ("".join(" " + n for n in
+                                               sorted(self.names)), space))
+        return p.name in self.names
 
 
 @dataclass(frozen=True)
-class WordOpen:
+class Rect(_Set):
+    left: OpenExpr
+    right: OpenExpr
+    normal = _no_rewrite
+
+    def member(self, space, p) -> bool:
+        if not isinstance(space, Product):
+            raise SetError("Rect needs a product space")
+        return (self.left.member(space.left, p.left)
+                and self.right.member(space.right, p.right))
+
+
+@dataclass(frozen=True)
+class SumOpen(_Set):
+    left: OpenExpr
+    right: OpenExpr
+    normal = _no_rewrite
+    strict = False
+
+    def member(self, space, p) -> bool:
+        if not isinstance(space, Sum):
+            raise SetError("SumOpen needs a sum space")
+        if isinstance(p, InL):
+            return self.left.member(space.left, p.value)
+        return self.right.member(space.right, p.value)
+
+
+@dataclass(frozen=True)
+class WordOpen(_Set):
     """<U1,...,Un>: words with letters in U1..Un in order, anything between.
     Parts are opens of the base space."""
 
-    parts: Tuple["OpenExpr", ...]
+    parts: Tuple[OpenExpr, ...]
+
+    def member(self, space, p) -> bool:
+        base = _word_space_base(space)
+        if isinstance(p, Word):
+            j = 0
+            for part in self.parts:
+                while j < len(p.letters) and not part.member(base,
+                                                             p.letters[j]):
+                    j += 1
+                if j == len(p.letters):
+                    return False
+                j += 1
+            return True
+        if isinstance(p, OrdWord):
+            seg = 0
+            used = 0  # letters already consumed from the current finite run
+            for part in self.parts:
+                while seg < len(p.segments):
+                    letter, count = p.segments[seg]
+                    exhausted = count.is_finite() and used >= count.to_int()
+                    if not exhausted and part.member(base, letter):
+                        used += 1
+                        break
+                    seg += 1
+                    used = 0
+                else:
+                    return False
+            return True
+        raise SetError("not a word point: %r" % (p,))
+
+    def mask(self, oracle) -> int:
+        if len(self.parts) > 1 and isinstance(oracle.space, (Words, OrdWords)):
+            base = oracle_for(oracle.space.base, oracle.bound)
+            if all(lattice_contains(base._ups(m), m)
+                   for m in map(base.mask, self.parts)):
+                # <U1,...,Un> = up(<U1> <U2,...,Un>) when every Ui is upward
+                # closed in the base; the tails are memoized as they recur.
+                return oracle.mask(ConcatUp(WordOpen(self.parts[:1]),
+                                            WordOpen(self.parts[1:])))
+        return super().mask(oracle)
+
+    def normal(self):
+        return self if self.parts else Whole()
 
 
 @dataclass(frozen=True)
-class ConcatUp:
+class ConcatUp(_Set):
     """Upward closure of the concatenation UV of two word-space opens."""
 
-    left: "OpenExpr"
-    right: "OpenExpr"
+    left: OpenExpr
+    right: OpenExpr
+
+    def member(self, space, p) -> bool:
+        if isinstance(p, Word):
+            return any(self.left.member(space, Word(p.letters[:i]))
+                       and self.right.member(space, Word(p.letters[i:]))
+                       for i in range(len(p.letters) + 1))
+        if isinstance(p, OrdWord):
+            return any(self.left.member(space, prefix)
+                       and self.right.member(space, suffix)
+                       for prefix, suffix in ow_cut_pairs(p))
+        raise SetError("not a word point: %r" % (p,))
+
+    def mask(self, oracle) -> int:
+        if not isinstance(oracle.space, (Words, OrdWords)):
+            return super().mask(oracle)
+        # up(LR) restricted to the universe: glue the bounded extents and
+        # close upward (anything above a too-long glue is too long too).
+        # Concatenation is monotone, so gluing the minimal elements of each
+        # side suffices.
+        right = oracle._minimals(oracle.mask(self.right))
+        return oracle._up_of(oracle.mask_of(
+            oracle._glue(u, v) for u in oracle._minimals(oracle.mask(self.left))
+            for v in right))
+
+    def normal(self):
+        if isinstance(self.left, Whole):
+            return self.right
+        if isinstance(self.right, Whole):
+            return self.left
+        if isinstance(self.left, WordOpen) and isinstance(self.right, WordOpen):
+            return WordOpen(self.left.parts + self.right.parts)
+        return self
 
 
 @dataclass(frozen=True)
-class TreeOpen:
+class TreeOpen(_Set):
     """Trees with a subtree whose root lies in root_open and whose children
     word lies in children_open (an open of words over the tree space)."""
 
-    root_open: "OpenExpr"
-    children_open: "OpenExpr"
+    root_open: OpenExpr
+    children_open: OpenExpr
+    normal = _no_rewrite
+
+    def member(self, space, p) -> bool:
+        if isinstance(space, Trees) and isinstance(p, TreeNode):
+            kids_space, kids = Words(space), lambda t: Word(t.children)
+        elif isinstance(space, OrdTrees) and isinstance(p, OrdTreeNode):
+            kids_space, kids = OrdWords(space, space.alpha), lambda t: t.children
+        else:
+            raise SetError("TreeOpen needs a tree point")
+        return any(self.root_open.member(space.base, sub.label)
+                   and self.children_open.member(kids_space, kids(sub))
+                   for sub in _substructures(space, p))
 
 
 @dataclass(frozen=True)
-class Triangle:
+class Triangle(_Set):
     """b |> U: ordinal words whose suffixes past every position < b lie in U
     (upward closed whenever U is)."""
 
     beta: Ordinal
-    inner: "OpenExpr"
+    inner: OpenExpr
+    strict = False  # 0 |> U is the whole space, U empty or not
+
+    def member(self, space, p) -> bool:
+        return all(self.inner.member(space, s)
+                   for s in self._suffixes(space, p))
+
+    def _suffixes(self, space, p):
+        """The suffixes of p past every position < beta, as points."""
+        word = _as_ord_word(space, p)[1]
+        return (_word_point(space, s)
+                for s in ow_suffixes_strictly_after(word, self.beta))
+
+    def mask(self, oracle) -> int:
+        if not isinstance(oracle.space, (Words, OrdWords)):
+            return super().mask(oracle)
+        inner = oracle.mask(self.inner)
+
+        def inside(q):
+            i = oracle.index.get(q)
+            return i is not None and inner >> i & 1
+
+        return oracle._filter(lambda p: all(
+            map(inside, self._suffixes(oracle.space, p))))
+
+    def normal(self):
+        if self.beta.is_zero() or isinstance(self.inner, Whole):
+            return Whole()
+        return Empty() if isinstance(self.inner, Empty) else self
 
 
 @dataclass(frozen=True)
-class RTimes:
+class RTimes(_Set):
     """F |x U: upward closure of the words a.v with a outside the closed F
     and a.v in U."""
 
-    closed: "ClosedExpr"
-    inner: "OpenExpr"
+    closed: ClosedExpr
+    inner: OpenExpr
+
+    def member(self, space, p) -> bool:
+        # Sound always; complete when the inner set is upward closed and the
+        # guard is downward closed (true for every constructed instance):
+        # the run-initial suffixes then dominate all in-run choices of the
+        # position.
+        base, word = _as_ord_word(space, p)
+        return any(
+            not self.closed.member(base, letter)
+            and self.inner.member(space,
+                                  _word_point(space, ow_suffix_from(word, i)))
+            for i, (letter, _) in enumerate(word.segments))
+
+    def normal(self):
+        return Empty() if isinstance(self.closed, WholeC) else self
 
 
 @dataclass(frozen=True)
-class PrefixConcat:
+class PrefixConcat(_Set):
     """Letters(W).V: words starting with a letter in the base open W whose
     tail lies in V.  Not upward closed; the prefix-topology generator."""
 
-    letters: "OpenExpr"
-    rest: "OpenExpr"
+    letters: OpenExpr
+    rest: OpenExpr
+    normal = _no_rewrite
+
+    def member(self, space, p) -> bool:
+        base, word = _as_ord_word(space, p)
+        if not word.segments:
+            return False
+        letter, count = word.segments[0]
+        if not self.letters.member(base, letter):
+            return False
+        rest_count = left_subtract(ONE, count)
+        rest = OrdWord(
+            ((() if rest_count.is_zero() else ((letter, rest_count),))
+             + word.segments[1:]))
+        return self.rest.member(space, _word_point(space, rest))
+
+    def mask(self, oracle) -> int:
+        if not (isinstance(self.letters, BaseOpen)
+                and isinstance(oracle.space, Words)):
+            return super().mask(oracle)
+        base = oracle_for(oracle.space.base, oracle.bound)
+        letters = base.points(base.mask(self.letters))
+        rest = oracle.points(oracle.mask(self.rest))
+        return oracle.mask_of(Word((a,) + w.letters) for a in letters
+                              for w in rest)
 
 
 @dataclass(frozen=True)
-class UpSubstructure:
+class UpSubstructure(_Set):
     """Points with a substructure (a suffix for words, a subtree for trees,
     the point itself included) in the inner set."""
 
-    inner: "OpenExpr"
+    inner: OpenExpr
+
+    def member(self, space, p) -> bool:
+        return any(self.inner.member(space, s)
+                   for s in _substructures(space, p))
+
+    def normal(self):
+        return Whole() if isinstance(self.inner, Whole) else self
 
 
 @dataclass(frozen=True)
-class CarrierOpen:
+class CarrierOpen(_Set):
     """A closed carrier used as a relative open inside a restricted topology."""
 
-    closed: "ClosedExpr"
+    closed: ClosedExpr
+    normal = _no_rewrite
+
+    def member(self, space, p) -> bool:
+        return self.closed.member(space, p)
 
 
 OpenExpr = TUnion[Empty, Whole, Union, Intersect, UpClosure, BaseOpen, Rect,
@@ -214,47 +498,57 @@ OpenExpr = TUnion[Empty, Whole, Union, Intersect, UpClosure, BaseOpen, Rect,
 
 
 @dataclass(frozen=True)
-class EmptyC:
-    pass
+class EmptyC(_ClosedSet):
+    member = Empty.member
 
 
 @dataclass(frozen=True)
-class WholeC:
-    pass
+class WholeC(_ClosedSet):
+    member = Whole.member
 
 
 @dataclass(frozen=True)
-class UnionC:
-    parts: Tuple["ClosedExpr", ...]
+class UnionC(_ClosedSet):
+    parts: Tuple[ClosedExpr, ...]
+    member = Union.member
 
 
 @dataclass(frozen=True)
-class IntersectC:
-    parts: Tuple["ClosedExpr", ...]
+class IntersectC(_ClosedSet):
+    parts: Tuple[ClosedExpr, ...]
+    member = Intersect.member
 
 
 @dataclass(frozen=True)
-class DownClosure:
+class DownClosure(_ClosedSet):
     points: Tuple[PointTerm, ...]
 
+    def member(self, space, p) -> bool:
+        # UpClosure's rule with the comparison reversed.
+        _require_points(space, self.points)
+        return any(_leq(space, p, e) for e in self.points)
+
 
 @dataclass(frozen=True)
-class ComplementOf:
-    open: "OpenExpr"
+class ComplementOf(_ClosedSet):
+    open: OpenExpr
+
+    def member(self, space, p) -> bool:
+        return not self.open.member(space, p)
 
 
 @dataclass(frozen=True)
-class AtMostOne:
+class AtMostOne(_Set):
     """F^{<=1}: words of at most one letter, the letter drawn from F."""
 
-    closed: "ClosedExpr"
+    closed: ClosedExpr
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_Set):
     """F^{<b}: words of length < b with all letters in F."""
 
-    closed: "ClosedExpr"
+    closed: ClosedExpr
     beta: Ordinal
 
     def __post_init__(self):
@@ -266,10 +560,14 @@ ProductAtom = TUnion[AtMostOne, Power]
 
 
 @dataclass(frozen=True)
-class OrdProduct:
+class OrdProduct(_ClosedSet):
     """Concatenation product of AtMostOne / Power atoms (downward closed)."""
 
     atoms: Tuple[ProductAtom, ...]
+
+    def member(self, space, p) -> bool:
+        base, word = _as_ord_word(space, p)
+        return _match_product(base, self.atoms, word)
 
 
 ClosedExpr = TUnion[EmptyC, WholeC, UnionC, IntersectC, DownClosure,
@@ -281,62 +579,18 @@ key_rows(get_args(OpenExpr) + get_args(ClosedExpr) + get_args(ProductAtom),
 # -- membership ---------------------------------------------------------------
 
 
-def member_open(space: SpaceExpr, p: PointTerm, u: OpenExpr) -> bool:
+def member_open(space: SpaceExpr, p: PointTerm, u) -> bool:
+    """Whether p lies in the set u, open or closed."""
     _require_point(space, p)
-    return _member(space, p, u)
+    return u.member(space, p)
+
+
+member_closed = member_open
 
 
 def _require_point(space: SpaceExpr, p: PointTerm) -> None:
     if not typecheck(space, p):
         raise SetError("point %r does not typecheck in %r" % (p, space))
-
-
-def _member(space, p, u) -> bool:
-    # p is trusted to typecheck in space; the points of a closure are
-    # checked here, once per call, and then compared with `_leq`.
-    if isinstance(u, Empty):
-        return False
-    if isinstance(u, Whole):
-        return True
-    if isinstance(u, Union):
-        return any(_member(space, p, part) for part in u.parts)
-    if isinstance(u, Intersect):
-        return all(_member(space, p, part) for part in u.parts)
-    if isinstance(u, UpClosure):
-        _require_points(space, u.points)
-        return any(_leq(space, e, p) for e in u.points)
-    if isinstance(u, BaseOpen):
-        return isinstance(p, Atom) and p.name in u.names
-    if isinstance(u, Rect):
-        if not isinstance(space, Product):
-            raise SetError("Rect needs a product space")
-        return (_member(space.left, p.left, u.left)
-                and _member(space.right, p.right, u.right))
-    if isinstance(u, SumOpen):
-        if not isinstance(space, Sum):
-            raise SetError("SumOpen needs a sum space")
-        if isinstance(p, InL):
-            return _member(space.left, p.value, u.left)
-        return _member(space.right, p.value, u.right)
-    if isinstance(u, WordOpen):
-        return _member_word_open(space, p, u)
-    if isinstance(u, ConcatUp):
-        return _member_concat_up(space, p, u)
-    if isinstance(u, TreeOpen):
-        return _member_tree_open(space, p, u)
-    if isinstance(u, Triangle):
-        base, word = _as_ord_word(space, p)
-        return all(_member(space, _word_point(space, s), u.inner)
-                   for s in ow_suffixes_strictly_after(word, u.beta))
-    if isinstance(u, RTimes):
-        return _member_rtimes(space, p, u)
-    if isinstance(u, PrefixConcat):
-        return _member_prefix_concat(space, p, u)
-    if isinstance(u, UpSubstructure):
-        return any(_member(space, s, u.inner) for s in _substructures(space, p))
-    if isinstance(u, CarrierOpen):
-        return _member_closed(space, p, u.closed)
-    raise SetError("not an open expression: %r" % (u,))
 
 
 def _word_space_base(space):
@@ -359,92 +613,6 @@ def _word_point(space, word: OrdWord) -> PointTerm:
     if isinstance(space, Words):
         return ord_to_word(word)
     return word
-
-
-def _member_word_open(space, p, u: WordOpen) -> bool:
-    base = _word_space_base(space)
-    if isinstance(p, Word):
-        j = 0
-        for part in u.parts:
-            while j < len(p.letters) and not _member(base, p.letters[j], part):
-                j += 1
-            if j == len(p.letters):
-                return False
-            j += 1
-        return True
-    if isinstance(p, OrdWord):
-        seg = 0
-        used = 0  # letters already consumed from the current finite run
-        for part in u.parts:
-            while seg < len(p.segments):
-                letter, count = p.segments[seg]
-                exhausted = count.is_finite() and used >= count.to_int()
-                if not exhausted and _member(base, letter, part):
-                    used += 1
-                    break
-                seg += 1
-                used = 0
-            else:
-                return False
-        return True
-    raise SetError("not a word point: %r" % (p,))
-
-
-def _member_concat_up(space, p, u: ConcatUp) -> bool:
-    if isinstance(p, Word):
-        for i in range(len(p.letters) + 1):
-            if (_member(space, Word(p.letters[:i]), u.left)
-                    and _member(space, Word(p.letters[i:]), u.right)):
-                return True
-        return False
-    if isinstance(p, OrdWord):
-        for prefix, suffix in ow_cut_pairs(p):
-            if (_member(space, prefix, u.left)
-                    and _member(space, suffix, u.right)):
-                return True
-        return False
-    raise SetError("not a word point: %r" % (p,))
-
-
-def _member_tree_open(space, p, u: TreeOpen) -> bool:
-    if isinstance(space, Trees) and isinstance(p, TreeNode):
-        kids_space, kids = Words(space), lambda t: Word(t.children)
-    elif isinstance(space, OrdTrees) and isinstance(p, OrdTreeNode):
-        kids_space, kids = OrdWords(space, space.alpha), lambda t: t.children
-    else:
-        raise SetError("TreeOpen needs a tree point")
-    return any(_member(space.base, sub.label, u.root_open)
-               and _member(kids_space, kids(sub), u.children_open)
-               for sub in _substructures(space, p))
-
-
-def _member_rtimes(space, p, u: RTimes) -> bool:
-    # Sound always; complete when the inner set is upward closed and the
-    # guard is downward closed (true for every constructed instance): the
-    # run-initial suffixes then dominate all in-run choices of the position.
-    base, word = _as_ord_word(space, p)
-    for i, (letter, _) in enumerate(word.segments):
-        if not _member_closed(base, letter, u.closed):
-            if _member(space, _word_point(space, ow_suffix_from(word, i)),
-                       u.inner):
-                return True
-    return False
-
-
-def _member_prefix_concat(space, p, u: PrefixConcat) -> bool:
-    base, word = _as_ord_word(space, p)
-    if not word.segments:
-        return False
-    letter, count = word.segments[0]
-    if not _member(base, letter, u.letters):
-        return False
-    rest_count = left_subtract(ONE, count)
-    rest = OrdWord(
-        ((() if rest_count.is_zero() else ((letter, rest_count),))
-         + word.segments[1:]))
-    if isinstance(p, Word):
-        return _member(space, ord_to_word(rest), u.rest)
-    return _member(space, rest, u.rest)
 
 
 def _substructures(space, p):
@@ -471,31 +639,6 @@ def _substructures(space, p):
     raise SetError("no substructure order on %r" % (p,))
 
 
-def member_closed(space: SpaceExpr, p: PointTerm, c: ClosedExpr) -> bool:
-    _require_point(space, p)
-    return _member_closed(space, p, c)
-
-
-def _member_closed(space, p, c) -> bool:
-    if isinstance(c, EmptyC):
-        return False
-    if isinstance(c, WholeC):
-        return True
-    if isinstance(c, UnionC):
-        return any(_member_closed(space, p, part) for part in c.parts)
-    if isinstance(c, IntersectC):
-        return all(_member_closed(space, p, part) for part in c.parts)
-    if isinstance(c, DownClosure):
-        _require_points(space, c.points)
-        return any(_leq(space, p, e) for e in c.points)
-    if isinstance(c, ComplementOf):
-        return not _member(space, p, c.open)
-    if isinstance(c, OrdProduct):
-        base, word = _as_ord_word(space, p)
-        return _match_product(base, c.atoms, word)
-    raise SetError("not a closed expression: %r" % (c,))
-
-
 def _match_product(base, atoms, word: OrdWord) -> bool:
     """Split search: can `word` be written as consecutive chunks matching the
     atom list, with ordinal length bounds per Power atom?"""
@@ -519,7 +662,7 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
                 return True
             if si < len(segments):
                 letter = segments[si][0]
-                if _member_closed(base, letter, atom.closed):
+                if atom.closed.member(base, letter):
                     rest = left_subtract(ONE, remaining)
                     if rest.is_zero():
                         nsi, nrem = seg_state(si + 1)
@@ -537,7 +680,7 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
         if si >= len(segments):
             return False
         letter = segments[si][0]
-        if not _member_closed(base, letter, atom.closed):
+        if not atom.closed.member(base, letter):
             return False
         # Take the whole rest of this run, or stop inside it at one of the
         # finitely many distinct leftovers.  A partial take always consumes
@@ -568,112 +711,33 @@ def open_key(u: OpenExpr):
     return repr(canonical_key(u))
 
 
+# The fields of each open constructor: True holds opens, False one, None none.
+_OPEN_FIELDS = {cls: tuple(
+    (f.name, {"OpenExpr": False, "Tuple[OpenExpr, ...]": True}.get(f.type))
+    for f in fields(cls)) for cls in get_args(OpenExpr)}
+
+
 def normalize_open(u: OpenExpr) -> OpenExpr:
-    if isinstance(u, (Union, Intersect)):
-        # The unit of the operation drops out and its absorbing element wins.
-        unit, absorbing = ((Empty, Whole) if isinstance(u, Union)
-                           else (Whole, Empty))
-        parts = []
-        for part in (normalize_open(p) for p in u.parts):
-            if isinstance(part, unit):
-                continue
-            if isinstance(part, absorbing):
-                return absorbing()
-            if isinstance(part, type(u)):
-                parts.extend(part.parts)
-            else:
-                parts.append(part)
-        parts = _dedup(parts)
-        if not parts:
-            return unit()
-        if len(parts) == 1:
-            return parts[0]
-        return type(u)(tuple(parts))
-    if isinstance(u, UpClosure):
-        if not u.points:
-            return Empty()
-        if any(isinstance(p, (Word, OrdWord)) and _is_empty_word(p)
-               for p in u.points):
-            return Whole()
+    """The normal form of an open, one structural fold: its open fields are
+    normalised; a strict constructor with an empty one is empty; otherwise
+    its class's `normal` rule rewrites it.  Closed sets and product atoms
+    are left as they are."""
+    opens = _OPEN_FIELDS.get(type(u))
+    if opens is None:
         return u
-    if isinstance(u, WordOpen):
-        parts = tuple(normalize_open(p) for p in u.parts)
-        if any(isinstance(p, Empty) for p in parts):
-            return Empty()
-        if not parts:
-            return Whole()
-        return WordOpen(parts)
-    if isinstance(u, ConcatUp):
-        left = normalize_open(u.left)
-        right = normalize_open(u.right)
-        if isinstance(left, Empty) or isinstance(right, Empty):
-            return Empty()
-        if isinstance(left, Whole):
-            return right
-        if isinstance(right, Whole):
-            return left
-        if isinstance(left, WordOpen) and isinstance(right, WordOpen):
-            return WordOpen(left.parts + right.parts)
-        return ConcatUp(left, right)
-    if isinstance(u, Rect):
-        left, right = normalize_open(u.left), normalize_open(u.right)
-        if isinstance(left, Empty) or isinstance(right, Empty):
-            return Empty()
-        return Rect(left, right)
-    if isinstance(u, SumOpen):
-        return SumOpen(normalize_open(u.left), normalize_open(u.right))
-    if isinstance(u, TreeOpen):
-        root = normalize_open(u.root_open)
-        kids = normalize_open(u.children_open)
-        if isinstance(root, Empty) or isinstance(kids, Empty):
-            return Empty()
-        return TreeOpen(root, kids)
-    if isinstance(u, Triangle):
-        inner = normalize_open(u.inner)
-        if u.beta.is_zero() or isinstance(inner, Whole):
-            return Whole()
-        if isinstance(inner, Empty):
-            return Empty()
-        return Triangle(u.beta, inner)
-    if isinstance(u, RTimes):
-        inner = normalize_open(u.inner)
-        if isinstance(inner, Empty) or isinstance(u.closed, WholeC):
-            return Empty()
-        return RTimes(u.closed, inner)
-    if isinstance(u, PrefixConcat):
-        letters = normalize_open(u.letters)
-        rest = normalize_open(u.rest)
-        if isinstance(letters, Empty) or isinstance(rest, Empty):
-            return Empty()
-        return PrefixConcat(letters, rest)
-    if isinstance(u, UpSubstructure):
-        inner = normalize_open(u.inner)
-        if isinstance(inner, Empty):
-            return Empty()
-        if isinstance(inner, Whole):
-            return Whole()
-        return UpSubstructure(inner)
-    return u
-
-
-def _dedup(parts):
-    seen = set()
-    out = []
-    for p in parts:
-        k = open_key(p)
-        if k not in seen:
-            seen.add(k)
-            out.append(p)
-    out.sort(key=open_key)
-    return out
-
-
-def _is_empty_word(p) -> bool:
-    if isinstance(p, Word):
-        return not p.letters
-    if isinstance(p, OrdWord):
-        return not p.segments
-    return False
+    args, kids = [], []
+    for name, many in opens:
+        arg = getattr(u, name)
+        if many is not None:
+            arg = (tuple(map(normalize_open, arg)) if many
+                   else normalize_open(arg))
+            kids.extend(arg if many else (arg,))
+        args.append(arg)
+    if not kids:
+        return u.normal()
+    if u.strict and any(isinstance(kid, Empty) for kid in kids):
+        return Empty()
+    return type(u)(*args).normal()
 
 
 # -- extent oracle ------------------------------------------------------------
@@ -692,16 +756,11 @@ class ExtentOracle:
     """Brute-force extents over an enumerated universe, memoized per expr.
 
     An extent is an int bitmask over the universe: bit i stands for
-    `universe[i]`.  Unions and intersections are computed from their parts'
-    masks; one-letter prefix cylinders, upward concatenations and suffix
-    triangles from their parts' masks by index lookups; letter patterns of
-    two or more parts as upward concatenations.  An upward closure is the
-    OR of the up-table rows of its points, which are typechecked once; the
-    universe is downward closed (see `space.enumerate_points`), so a point
-    outside it adds nothing.  Everything else falls back to the membership
-    recursion, one pass over the universe.  Universe points typecheck by
-    construction, so the oracle calls the memoised point order `_leq`
-    without `point_leq`'s checks."""
+    `universe[i]`.  Each set class computes its own mask (`mask`): from
+    its parts' masks, from the up table of the point order, or by the
+    default pass of membership over the universe.  Universe points
+    typecheck by construction, so the oracle calls the memoised point
+    order `_leq` without `point_leq`'s checks."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
@@ -717,14 +776,20 @@ class ExtentOracle:
     def mask(self, s) -> int:
         # Memoized on the expression itself; structurally equal expressions
         # share an entry.
-        if _is_closed_expr(s):
-            if s not in self._closed:
-                self._closed[s] = self._filter(
-                    lambda p: _member_closed(self.space, p, s))
-            return self._closed[s]
-        if s not in self._open:
-            self._open[s] = self._compute_open(s)
-        return self._open[s]
+        memo = self._closed if isinstance(s, _ClosedSet) else self._open
+        got = memo.get(s)
+        if got is None:
+            got = memo[s] = s.mask(self)
+        return got
+
+    def mask_of(self, points) -> int:
+        """The mask of those of `points` that lie in the universe."""
+        out = 0
+        for p in points:
+            i = self.index.get(p)
+            if i is not None:
+                out |= 1 << i
+        return out
 
     def _filter(self, keep) -> int:
         """The mask of the universe points satisfying `keep`."""
@@ -746,73 +811,6 @@ class ExtentOracle:
         """The mask of the points above some point of `mask`."""
         up = self._ups(mask)
         return reduce(or_, (up[i] for i in _bits(mask)), 0)
-
-    def _compute_open(self, s) -> int:
-        space = self.space
-        if isinstance(s, Empty):
-            return 0
-        if isinstance(s, Whole):
-            return self.full
-        if isinstance(s, Union):
-            return reduce(or_, map(self.mask, s.parts), 0)
-        if isinstance(s, Intersect):
-            return reduce(and_, map(self.mask, s.parts), self.full)
-        if isinstance(s, UpClosure):
-            # The universe is downward closed (see space.enumerate_points),
-            # so a point outside it has nothing above it there: only the
-            # rows of the points inside count.
-            inside = 0
-            for q in _checked_points(space, s.points):
-                if q in self.index:
-                    inside |= 1 << self.index[q]
-            return self._up_of(inside)
-        if (isinstance(s, PrefixConcat) and isinstance(s.letters, BaseOpen)
-                and isinstance(space, Words)):
-            rest = self.points(self.mask(s.rest))
-            out = 0
-            for name in s.letters.names:
-                for word in rest:
-                    i = self.index.get(Word((Atom(name),) + word.letters))
-                    if i is not None:
-                        out |= 1 << i
-            return out
-        if not isinstance(space, (Words, OrdWords)):
-            return self._filter(lambda p: _member(space, p, s))
-        if (isinstance(s, WordOpen) and len(s.parts) > 1
-                and self._parts_up_closed(s.parts)):
-            # <U1,...,Un> = up(<U1> <U2,...,Un>) when every Ui is upward
-            # closed in the base; the tails are memoized as they recur.
-            return self.mask(ConcatUp(WordOpen(s.parts[:1]),
-                                      WordOpen(s.parts[1:])))
-        if isinstance(s, ConcatUp):
-            # up(LR) restricted to the universe: glue the bounded extents and
-            # close upward (anything above a too-long glue is too long too).
-            # Concatenation is monotone, so gluing the minimal elements of
-            # each side suffices.
-            right = self._minimals(self.mask(s.right))
-            glued = 0
-            for u in self._minimals(self.mask(s.left)):
-                for v in right:
-                    i = self.index.get(self._glue(u, v))
-                    if i is not None:
-                        glued |= 1 << i
-            return self._up_of(glued)
-        if isinstance(s, Triangle):
-            inner = self.mask(s.inner)
-
-            def inside(q):
-                i = self.index.get(_word_point(space, q))
-                return i is not None and inner >> i & 1
-
-            return self._filter(lambda p: all(
-                inside(q) for q in ow_suffixes_strictly_after(
-                    _as_ord_word(space, p)[1], s.beta)))
-        return self._filter(lambda p: _member(space, p, s))
-
-    def _parts_up_closed(self, parts) -> bool:
-        base = oracle_for(self.space.base, self.bound)
-        return all(lattice_contains(base._ups(m), m)
-                   for m in map(base.mask, parts))
 
     def _glue(self, u: PointTerm, v: PointTerm) -> PointTerm:
         if isinstance(u, Word):
@@ -838,11 +836,6 @@ class ExtentOracle:
 
     def extent_list(self, s) -> Tuple[PointTerm, ...]:
         return tuple(self.points(self.mask(s)))
-
-
-def _is_closed_expr(s) -> bool:
-    return isinstance(s, (EmptyC, WholeC, UnionC, IntersectC, DownClosure,
-                          ComplementOf, OrdProduct))
 
 
 _ORACLES: Dict[Tuple[SpaceExpr, int], ExtentOracle] = {}
@@ -1103,7 +1096,7 @@ def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:
     _require_point(t.space, x)
     _require_point(t.space, y)
     for u in t.effective_subbasis():
-        if _member(t.space, x, u) and not _member(t.space, y, u):
+        if u.member(t.space, x) and not u.member(t.space, y):
             return False
     return True
 
@@ -1123,7 +1116,7 @@ def base_complement(base: SpaceExpr, f: ClosedExpr) -> BaseOpen:
     if not isinstance(base, FiniteQO):
         raise SetError("base complement needs a finite base")
     names = frozenset(n for n in base.elements
-                      if not _member_closed(base, Atom(n), f))
+                      if not f.member(base, Atom(n)))
     return BaseOpen(names)
 
 

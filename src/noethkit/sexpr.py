@@ -300,12 +300,15 @@ def parse_set(expr) -> TUnion[S.OpenExpr, S.ClosedExpr]:
     return parse_row(expr, _SETS, "set")
 
 
-# Field kinds: S spaces, p points, u opens, c closeds, NAME a name that is
-# not a numeral, ORD an ordinal token; T, q and v name a second field of
-# the kind of S, p and u, as in (pair p q).  `inductive` adds F and G.
+# Field kinds: S spaces, p points, u opens, c closeds, atom product atoms,
+# NAME a non-numeral name, ORD an ordinal token; T, q and v name a second
+# field of the kind of S, p and u, as in (pair p q).  `inductive` adds F, G.
 _KINDS = {"S": parse_space, "T": parse_space, "p": parse_point,
-          "q": parse_point, "u": parse_set, "v": parse_set, "c": parse_set,
-          "NAME": _name, "ORD": _ordinal}
+          "q": parse_point, "NAME": _name, "ORD": _ordinal,
+          "u": lambda expr: parse_row(expr, _OPENS, "open"),
+          "c": lambda expr: parse_row(expr, _CLOSEDS, "closed"),
+          "atom": lambda expr: parse_row(expr, _ATOMS, "product atom")}
+_KINDS["v"] = _KINDS["u"]
 
 PRINTERS.update({
     str: str, Ordinal: ordinal_token, sp.FiniteQO: _print_qo,
@@ -322,7 +325,7 @@ _SPACES = grammar(
 _POINTS = grammar(
     (sp.Pair, "(pair p q)"), (sp.InL, "(inl p)"), (sp.InR, "(inr p)"),
     (sp.Word, "(word p ...)"), (sp.TreeNode, "(tree p q ...)"))
-_SETS = grammar(
+_OPENS = grammar(
     (S.Empty, "(empty)"), (S.Whole, "(whole)"), (S.Union, "(union u ...)"),
     (S.Intersect, "(inter u ...)"), (S.UpClosure, "(up p ...)"),
     (S.BaseOpen, "(base NAME ...)"), (S.Rect, "(rect u v)"),
@@ -330,8 +333,11 @@ _SETS = grammar(
     (S.ConcatUp, "(concatup u v)"), (S.TreeOpen, "(treeopen u v)"),
     (S.Triangle, "(tri ORD u)"), (S.RTimes, "(rtimes c u)"),
     (S.PrefixConcat, "(prefix u v)"), (S.UpSubstructure, "(upsub u)"),
-    (S.CarrierOpen, "(carrier c)"), (S.EmptyC, "(emptyc)"),
-    (S.WholeC, "(wholec)"), (S.UnionC, "(unionc c ...)"),
-    (S.IntersectC, "(interc c ...)"), (S.DownClosure, "(down p ...)"),
-    (S.ComplementOf, "(compl u)"), (S.OrdProduct, "(ordprod c ...)"),
-    (S.AtMostOne, "(amo c)"), (S.Power, "(pow c ORD)"))
+    (S.CarrierOpen, "(carrier c)"))
+_CLOSEDS = grammar(
+    (S.EmptyC, "(emptyc)"), (S.WholeC, "(wholec)"),
+    (S.UnionC, "(unionc c ...)"), (S.IntersectC, "(interc c ...)"),
+    (S.DownClosure, "(down p ...)"), (S.ComplementOf, "(compl u)"),
+    (S.OrdProduct, "(ordprod atom ...)"))
+_ATOMS = grammar((S.AtMostOne, "(amo c)"), (S.Power, "(pow c ORD)"))
+_SETS = {**_OPENS, **_CLOSEDS, **_ATOMS}  # parse_set reads every sort

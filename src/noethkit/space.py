@@ -48,7 +48,8 @@ class FiniteQO:
     leq: frozenset  # of (str, str) pairs
 
     def __post_init__(self):
-        elems = set(self.elements)
+        elems = frozenset(self.elements)
+        object.__setattr__(self, "element_set", elems)
         if len(elems) != len(self.elements):
             raise SpaceError("duplicate elements")
         for x, y in self.leq:

@@ -281,6 +281,24 @@ MALFORMED = [
                   "--space", WORDS], {}, None, 1, id="member-down-ill-typed"),
     pytest.param(["eval", "extent", "(whole)", "--space", "(fin 5 6)"], {},
                  None, 2, id="numeral-name"),
+    pytest.param(["eval", "member", "(word a)", "(union (down (word a)))",
+                  "--space", WORDS], {}, None, 2, id="member-closed-as-open"),
+    pytest.param(["eval", "extent", "(compl (down (word a)))",
+                  "--space", WORDS], {}, None, 2, id="extent-closed-as-open"),
+    pytest.param(["eval", "extent", "(carrier (up (word a)))",
+                  "--space", WORDS], {}, None, 2, id="extent-open-as-closed"),
+    pytest.param(["eval", "includes", "(up (word a))",
+                  "(rtimes (base a) (whole))", "--space", WORDS], {}, None, 2,
+                 id="includes-open-as-closed"),
+    pytest.param(["eval", "member", "(word a)", "(ordprod (down a))",
+                  "--space", WORDS], {}, None, 2,
+                 id="member-closed-as-product-atom"),
+    pytest.param(["eval", "member", "a", "(base c)", "--space", "(fin a b)"],
+                 {}, None, 1, id="member-base-name-outside"),
+    pytest.param(["eval", "member", "(word a)", "(base a)", "--space", WORDS],
+                 {}, None, 1, id="member-base-over-words"),
+    pytest.param(["eval", "member", "3", "(base a)", "--space", "nat"], {},
+                 None, 1, id="member-base-over-nat"),
 ]
 
 
