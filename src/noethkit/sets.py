@@ -212,21 +212,35 @@ class UpClosure(_Set):
 
 @dataclass(frozen=True)
 class BaseOpen(_Set):
-    """A subset of a finite base, by element names (must be up-closed to be
-    a legitimate open of the base quasi-order)."""
+    """A subset of a finite base, by element names, which must be upward
+    closed in the base quasi-order to be one of its opens."""
 
     names: frozenset
     normal = _no_rewrite
 
     def __post_init__(self):
         object.__setattr__(self, "names", frozenset(self.names))
+        object.__setattr__(self, "_checked_in", None)
 
     def member(self, space, p) -> bool:
-        if not (isinstance(space, FiniteQO) and self.names <= space.element_set):
-            raise SetError("(base%s) needs a finite base holding its names, "
-                           "got %r" % ("".join(" " + n for n in
-                                               sorted(self.names)), space))
+        # The names are checked once and the space remembered, as WordOpen
+        # asks once per letter; a memo keyed by the space would hash it on
+        # every call.
+        if space is not self._checked_in:
+            self._check(space)
+            object.__setattr__(self, "_checked_in", space)
         return p.name in self.names
+
+    def _check(self, space) -> None:
+        """Raise unless the names are elements of the finite base `space`
+        and every element above one of them is one of them."""
+        shown = "(base%s)" % "".join(" " + n for n in sorted(self.names))
+        if not (isinstance(space, FiniteQO)
+                and self.names <= space.element_set):
+            raise SetError("%s needs a finite base holding its names, got %r"
+                           % (shown, space))
+        if any(y not in self.names for x, y in space.leq if x in self.names):
+            raise SetError("%s is not upward closed in %r" % (shown, space))
 
 
 @dataclass(frozen=True)
@@ -589,8 +603,12 @@ member_closed = member_open
 
 
 def _require_point(space: SpaceExpr, p: PointTerm) -> None:
-    if not typecheck(space, p):
-        raise SetError("point %r does not typecheck in %r" % (p, space))
+    """`_require_points` for the point asked about, whose error is a
+    SetError."""
+    try:
+        _require_points(space, (p,))
+    except SpaceError as exc:
+        raise SetError(*exc.args) from None
 
 
 def _word_space_base(space):
@@ -942,22 +960,28 @@ def _as_up_points(u) -> Optional[Tuple[PointTerm, ...]]:
 
 
 def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> Optional[IncludesResult]:
-    """<U1..Un> <= <V1..Vm> iff a strictly increasing h with U_h(j) <= V_j."""
+    """<U1..Un> <= <V1..Vm> iff a strictly increasing h with U_h(j) <= V_j.
+    A True answer carries the least bound of the letter inclusions it rests
+    on, as `union-left` does."""
     base_bound = bound if bound is not None else default_bound()
     base = _word_space_base(space)
+    bounds = []
     i = 0
     for v in b.parts:
         while i < len(a.parts):
             r = includes(base, a.parts[i], v, base_bound)
             i += 1
             if r.value is True:
+                if r.bound is not None:
+                    bounds.append(r.bound)
                 break
         else:
             # A witness needs only one letter per left-hand part.
             oracle = oracle_for(space, max(base_bound, len(a.parts)))
             return IncludesResult(False, "wordopen-rule",
                                   witness=_least_outside(oracle, a, b))
-    return IncludesResult(True, "wordopen-rule")
+    return IncludesResult(True, "wordopen-rule",
+                          bound=min(bounds) if bounds else None)
 
 
 def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
@@ -996,7 +1020,8 @@ def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
 def _require_points(space: SpaceExpr, points: Iterable[PointTerm]) -> None:
     for p in points:
         if not typecheck(space, p):
-            raise SpaceError("points do not typecheck in %r" % (space,))
+            raise SpaceError("point %r does not typecheck in %r"
+                             % (p, space))
 
 
 def _checked_points(space: SpaceExpr, points) -> Tuple[PointTerm, ...]:

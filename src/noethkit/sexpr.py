@@ -20,11 +20,17 @@ Names (a, b, ... in fin, elems, leq and base) may not be numerals: a
 decimal token is the natural number point.  Ordinals appear as single
 tokens in the compact syntax, e.g. w^2*3+w+1.  Every printed form parses
 back to the same term.
+
+The four entry points (`parse_space`, `parse_point`, `parse_set` and
+`inductive.parse_functor`) remember the texts they parsed, up to
+PARSE_MEMO_SIZE each: equal texts give the same term object, shared by
+every caller, which is safe because terms are frozen values.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import lru_cache, wraps
 from operator import attrgetter
 from typing import Union as TUnion
 
@@ -138,6 +144,25 @@ def ordinal_token(a: Ordinal) -> str:
     return format_ordinal(a).replace(" ", "")
 
 
+# Texts each entry point remembers, least recently used first out.
+PARSE_MEMO_SIZE = 4096
+
+
+def memo_by_text(parse):
+    """`parse`, memoised on text: a str argument is looked up among the last
+    PARSE_MEMO_SIZE texts, so equal texts give one shared term, and an
+    already-read list is parsed afresh.  A text that fails to parse raises
+    on every call and is not stored."""
+    table = lru_cache(maxsize=PARSE_MEMO_SIZE)(parse)
+
+    @wraps(parse)
+    def entry(expr):
+        return table(expr) if isinstance(expr, str) else parse(expr)
+    entry.cache_info = table.cache_info
+    entry.cache_clear = table.cache_clear
+    return entry
+
+
 # -- grammar tables -------------------------------------------------------------
 #
 # A row (class, shape) states one constructor: its head and, in field order,
@@ -216,7 +241,7 @@ print_space = print_point = print_set = print_term
 # -- spaces -------------------------------------------------------------------
 
 
-def parse_space(expr) -> sp.SpaceExpr:
+def _parse_space(expr) -> sp.SpaceExpr:
     if isinstance(expr, str) and expr != "nat":
         expr = read(expr)
     if expr == "nat":
@@ -239,6 +264,9 @@ def parse_space(expr) -> sp.SpaceExpr:
     return parse_row(expr, _SPACES, "space")
 
 
+parse_space = memo_by_text(_parse_space)
+
+
 def _print_qo(space: sp.FiniteQO) -> str:
     if all(space.holds(x, y) == (x == y)
            for x in space.elements for y in space.elements):
@@ -251,12 +279,12 @@ def _print_qo(space: sp.FiniteQO) -> str:
 # -- points -------------------------------------------------------------------
 
 
-def parse_point(expr) -> sp.PointTerm:
+def _parse_point(expr) -> sp.PointTerm:
     if isinstance(expr, str):
         if expr.isdecimal():
             return sp.NatVal(_natural(expr))
         if "(" in expr:
-            return parse_point(read(expr))
+            return _parse_point(read(expr))
         return sp.Atom(expr)
     head = _head(expr, "point")
     if head == "nat":
@@ -268,9 +296,12 @@ def parse_point(expr) -> sp.PointTerm:
         return sp.ord_word(_run(e, "(ordword ...)") for e in expr[1:])
     if head == "ordtree":
         _, label = shaped(expr[:2], "(ordtree label)")
-        return sp.OrdTreeNode(parse_point(label), sp.ord_word(
+        return sp.OrdTreeNode(_parse_point(label), sp.ord_word(
             _run(e, "(ordtree ...)") for e in expr[2:]))
     return parse_row(expr, _POINTS, "point")
+
+
+parse_point = memo_by_text(_parse_point)
 
 
 def _natural(digits: str) -> int:
@@ -283,7 +314,7 @@ def _natural(digits: str) -> int:
 
 def _run(expr, within: str):
     _, count = shaped(expr, "(letter ORD)", within)
-    return parse_point(expr[0]), _ordinal(count)
+    return _parse_point(expr[0]), _ordinal(count)
 
 
 def _runs(w: sp.OrdWord) -> str:
@@ -294,17 +325,20 @@ def _runs(w: sp.OrdWord) -> str:
 # -- set expressions ----------------------------------------------------------
 
 
-def parse_set(expr) -> TUnion[S.OpenExpr, S.ClosedExpr]:
+def _parse_set(expr) -> TUnion[S.OpenExpr, S.ClosedExpr]:
     if isinstance(expr, str):
         expr = read(expr)
     return parse_row(expr, _SETS, "set")
 
 
+parse_set = memo_by_text(_parse_set)
+
+
 # Field kinds: S spaces, p points, u opens, c closeds, atom product atoms,
 # NAME a non-numeral name, ORD an ordinal token; T, q and v name a second
 # field of the kind of S, p and u, as in (pair p q).  `inductive` adds F, G.
-_KINDS = {"S": parse_space, "T": parse_space, "p": parse_point,
-          "q": parse_point, "NAME": _name, "ORD": _ordinal,
+_KINDS = {"S": _parse_space, "T": _parse_space, "p": _parse_point,
+          "q": _parse_point, "NAME": _name, "ORD": _ordinal,
           "u": lambda expr: parse_row(expr, _OPENS, "open"),
           "c": lambda expr: parse_row(expr, _CLOSEDS, "closed"),
           "atom": lambda expr: parse_row(expr, _ATOMS, "product atom")}

@@ -67,6 +67,32 @@ class TestEval:
                             "--space", "(words (fin a b))")
         assert code == 1 and doc["kind"] == "domain"
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["(wordopen (inter (up 6) (up 7)))", "(wordopen (up 10))",
+          "--space", "(words nat)"], 4),
+        (["(wordopen (base a b))", "(wordopen (base a))",
+          "--space", "(words (fin a b))", "--bound", "0"], 0),
+    ])
+    def test_word_open_rule_reports_its_letter_bound(self, capsys, argv,
+                                                     bound):
+        # The letter inclusions are decided by extents, so the answer rests
+        # on their bound.
+        code, doc = run_cli(capsys, "eval", "includes", *argv)
+        assert code == 0
+        assert doc == {"bound": bound, "query": "includes", "result": True,
+                       "via": "wordopen-rule", "witness": None}
+
+    def test_ill_typed_point_errors_read_alike(self, capsys):
+        # The point asked about and a closure point name the point alike.
+        docs = [run_cli(capsys, "eval", "member", p, u, "--space", WORDS)
+                for p, u in [("(word a)", "(up (word c))"),
+                             ("(word c)", "(up (word a))")]]
+        assert docs[0] == docs[1]
+        code, doc = docs[0]
+        assert code == 1 and doc["kind"] == "domain"
+        assert doc["error"].startswith(
+            "point Word(letters=(Atom(name='c'),)) does not typecheck in ")
+
 
 class TestIterate:
     def test_div_three_steps(self, capsys):
@@ -299,6 +325,9 @@ MALFORMED = [
                  {}, None, 1, id="member-base-over-words"),
     pytest.param(["eval", "member", "3", "(base a)", "--space", "nat"], {},
                  None, 1, id="member-base-over-nat"),
+    pytest.param(["eval", "member", "b", "(base a)",
+                  "--space", "(qo (elems a b) (leq (a b)))"], {}, None, 1,
+                 id="member-base-not-upward-closed"),
 ]
 
 

@@ -970,14 +970,20 @@ class TestMaskOracle:
             p for p in oracle.universe if member_closed(WAB, p, c))
 
     def test_word_open_with_parts_not_upward_closed(self):
-        # Over a <= b the part {a} is not upward closed, so <{a},{a}> is not
-        # the upward closure of <{a}> <{a}>: "ab" is above "aa" but has
-        # only one letter a.
-        space = Words(finite_qo("ab", [("a", "b")]))
-        only_a = BaseOpen(frozenset("a"))
-        for u in (WordOpen((only_a, only_a)), WordOpen((only_a, UB, only_a))):
+        # Over words of words the part "starts with a" is not upward closed,
+        # so <P,P> is not the upward closure of <P> <P>: (word (word b a)
+        # (word a)) is above (word (word a) (word a)) but has only one
+        # letter in P.  A (base ...) part must be upward closed: over a <= b,
+        # (base a) is a domain error.
+        space = Words(WAB)
+        starts_a = PrefixConcat(UA, Whole())
+        for u in (WordOpen((starts_a, starts_a)),
+                  WordOpen((starts_a, Whole(), starts_a))):
             oracle = oracle_for(space, 4)
             assert oracle.extent(u) == _extent_by_membership(oracle, u)
+        with pytest.raises(SetError, match="not upward closed"):
+            oracle_for(Words(finite_qo("ab", [("a", "b")])), 4).extent(
+                WordOpen((UA, UA)))
 
     def test_extent_list_in_enumeration_order(self):
         oracle = oracle_for(WAB, 4)
@@ -1155,3 +1161,18 @@ class TestCacheInspection:
         assert stats["oracles"] == []
         assert stats["leq"].currsize == stats["enumerate"].currsize == 0
         assert stats["open_key"].currsize == 0
+
+    def test_parse_memo_shows_in_stats_and_clear_resets(self):
+        import noethkit
+        from noethkit.sexpr import parse_point, parse_space
+        noethkit.clear_caches()
+        for _ in range(2):
+            parse_space("(words (fin c d))")
+        parse_point("(word c)")
+        parse = noethkit.cache_stats()["parse"]
+        assert sorted(parse) == ["functor", "point", "set", "space"]
+        assert (parse["space"].hits, parse["space"].misses) == (1, 1)
+        assert parse["point"].currsize == 1
+        noethkit.clear_caches()
+        parse = noethkit.cache_stats()["parse"]
+        assert all(info.currsize == 0 for info in parse.values())

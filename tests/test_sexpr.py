@@ -228,6 +228,39 @@ class TestErrors:
             parse_set("(frobnicate 1)")
 
 
+class TestParseMemo:
+    """Each entry point remembers the texts it parsed: one shared term per
+    text, errors never stored, already-read lists parsed afresh."""
+
+    ENTRIES = [(parse_space, "(words (fin a b))"), (parse_point, "(word a b)"),
+               (parse_set, "(wordopen (up a) (base b))"),
+               (parse_functor, "(mu (sum unit (prod (fin a b) id)))")]
+
+    @pytest.mark.parametrize("parse, text", ENTRIES)
+    def test_equal_texts_give_the_same_term(self, parse, text):
+        assert parse(text) is parse("".join(list(text)))
+
+    @pytest.mark.parametrize("parse, text", ENTRIES)
+    def test_bad_text_raises_every_time_and_is_not_stored(self, parse, text):
+        parse.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SexprError):
+                parse(text + ")")
+        assert parse.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("parse, text", ENTRIES)
+    def test_read_list_bypasses_the_memo(self, parse, text):
+        parse.cache_clear()
+        assert parse(read(text)) == parse(text)
+        info = parse.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+    @pytest.mark.parametrize("parse, text", ENTRIES)
+    def test_memo_is_bounded(self, parse, text):
+        assert parse.cache_info().maxsize == noethkit.sexpr.PARSE_MEMO_SIZE
+        assert 0 < noethkit.sexpr.PARSE_MEMO_SIZE < float("inf")
+
+
 class TestDefaults:
     def test_oracle_bound_env_override(self, monkeypatch):
         monkeypatch.setenv("NOETHKIT_ORACLE_BOUND", "7")
