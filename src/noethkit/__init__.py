@@ -14,18 +14,17 @@ __version__ = "0.1.0"
 def cache_stats() -> dict:
     """Sizes of the process-wide memos: the `cache_info()` of the point
     order (`space._leq`), of enumeration (`space._enumerate`), of
-    `sets.open_key` and, under `parse`, of the four text parsers; and one
+    `sets.open_key` and, under `parse`, of the three text parsers; and one
     entry per extent oracle with its space, bound, universe size, memo entry
     counts and the number of up-table entries built."""
-    from . import inductive, sets, sexpr, space
+    from . import sets, sexpr, space
     return {
         "leq": space._leq.cache_info(),
         "enumerate": space._enumerate.cache_info(),
         "open_key": sets.open_key.cache_info(),
         "parse": {"space": sexpr.parse_space.cache_info(),
                   "point": sexpr.parse_point.cache_info(),
-                  "set": sexpr.parse_set.cache_info(),
-                  "functor": inductive.parse_functor.cache_info()},
+                  "set": sexpr.parse_set.cache_info()},
         "oracles": [
             {"space": o.space, "bound": o.bound, "universe": len(o.universe),
              "open": len(o._open), "closed": len(o._closed),
@@ -37,9 +36,8 @@ def cache_stats() -> dict:
 
 def clear_caches() -> None:
     """Empty every memo that `cache_stats` reports."""
-    from . import inductive, sets, sexpr, space
+    from . import sets, sexpr, space
     for memo in (space._leq, space._enumerate, sets.open_key,
-                 sexpr.parse_space, sexpr.parse_point, sexpr.parse_set,
-                 inductive.parse_functor):
+                 sexpr.parse_space, sexpr.parse_point, sexpr.parse_set):
         memo.cache_clear()
     sets._ORACLES.clear()

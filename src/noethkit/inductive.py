@@ -24,8 +24,8 @@ from .sets import (
     UpSubstructure,
     Whole,
 )
-from .sexpr import (PRINTERS, SexprError, grammar, memo_by_text, parse_row,
-                    parse_space, print_space, print_term, read, shaped)
+from .sexpr import (PRINTERS, SexprError, grammar, parse_row, parse_space,
+                    print_space, print_term, read, shaped)
 from .space import (
     FiniteQO,
     PointTerm,
@@ -476,25 +476,22 @@ def div_exp_generators(f: FunctorExpr,
 # -- textual functor grammar (see sexpr) ---------------------------------------
 
 
-def _parse_functor(expr) -> FunctorExpr:
+def parse_functor(expr) -> FunctorExpr:
     if isinstance(expr, str):
         if expr == "unit":
             return UnitF()
         if expr == "id":
             return IdF()
         if "(" in expr:
-            return _parse_functor(read(expr))
+            return parse_functor(read(expr))
         raise SexprError("unknown functor token %r" % expr)
     if not expr or not isinstance(expr[0], str):
         raise SexprError("expected a functor form, got %r" % (expr,))
     if expr[0] == "mu":
-        return _parse_functor(shaped(expr, "(mu F)")[1])
+        return parse_functor(shaped(expr, "(mu F)")[1])
     if expr[0] == "fin":
         return ConstF(parse_space(expr))
     return parse_row(expr, _FUNCTORS, "functor")
-
-
-parse_functor = memo_by_text(_parse_functor)
 
 
 def _print_const(f: ConstF) -> str:
@@ -505,7 +502,7 @@ def _print_const(f: ConstF) -> str:
 
 _FUNCTORS = grammar((ConstF, "(const S)"), (SumF, "(sum F G)"),
                     (ProdF, "(prod F G)"), (ListF, "(list F)"),
-                    F=_parse_functor, G=_parse_functor)
+                    F=parse_functor, G=parse_functor)
 PRINTERS.update({UnitF: lambda f: "unit", IdF: lambda f: "id",
                  ConstF: _print_const})
 print_functor = print_term

@@ -220,27 +220,22 @@ class BaseOpen(_Set):
 
     def __post_init__(self):
         object.__setattr__(self, "names", frozenset(self.names))
-        object.__setattr__(self, "_checked_in", None)
 
     def member(self, space, p) -> bool:
-        # The names are checked once and the space remembered, as WordOpen
-        # asks once per letter; a memo keyed by the space would hash it on
-        # every call.
-        if space is not self._checked_in:
-            self._check(space)
-            object.__setattr__(self, "_checked_in", space)
-        return p.name in self.names
-
-    def _check(self, space) -> None:
-        """Raise unless the names are elements of the finite base `space`
-        and every element above one of them is one of them."""
-        shown = "(base%s)" % "".join(" " + n for n in sorted(self.names))
-        if not (isinstance(space, FiniteQO)
-                and self.names <= space.element_set):
+        # Every subset of a discrete base is upward closed, so only other
+        # bases pay the pass over the order (WordOpen asks once per letter).
+        names = self.names
+        if not (isinstance(space, FiniteQO) and names <= space.element_set):
             raise SetError("%s needs a finite base holding its names, got %r"
-                           % (shown, space))
-        if any(y not in self.names for x, y in space.leq if x in self.names):
-            raise SetError("%s is not upward closed in %r" % (shown, space))
+                           % (self._shown(), space))
+        if not space.is_discrete and any(y not in names for x, y in space.leq
+                                         if x in names):
+            raise SetError("%s is not upward closed in %r"
+                           % (self._shown(), space))
+        return p.name in names
+
+    def _shown(self) -> str:
+        return "(base%s)" % "".join(" " + n for n in sorted(self.names))
 
 
 @dataclass(frozen=True)
@@ -961,19 +956,18 @@ def _as_up_points(u) -> Optional[Tuple[PointTerm, ...]]:
 
 def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> Optional[IncludesResult]:
     """<U1..Un> <= <V1..Vm> iff a strictly increasing h with U_h(j) <= V_j.
-    A True answer carries the least bound of the letter inclusions it rests
-    on, as `union-left` does."""
+    A True answer carries the bound its letter inclusions were decided at
+    when one of them was decided by extents."""
     base_bound = bound if bound is not None else default_bound()
     base = _word_space_base(space)
-    bounds = []
+    bounded = False
     i = 0
     for v in b.parts:
         while i < len(a.parts):
             r = includes(base, a.parts[i], v, base_bound)
             i += 1
             if r.value is True:
-                if r.bound is not None:
-                    bounds.append(r.bound)
+                bounded = bounded or r.bound is not None
                 break
         else:
             # A witness needs only one letter per left-hand part.
@@ -981,7 +975,7 @@ def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> Optional[Includes
             return IncludesResult(False, "wordopen-rule",
                                   witness=_least_outside(oracle, a, b))
     return IncludesResult(True, "wordopen-rule",
-                          bound=min(bounds) if bounds else None)
+                          bound=base_bound if bounded else None)
 
 
 def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):

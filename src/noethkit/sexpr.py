@@ -21,10 +21,10 @@ decimal token is the natural number point.  Ordinals appear as single
 tokens in the compact syntax, e.g. w^2*3+w+1.  Every printed form parses
 back to the same term.
 
-The four entry points (`parse_space`, `parse_point`, `parse_set` and
-`inductive.parse_functor`) remember the texts they parsed, up to
-PARSE_MEMO_SIZE each: equal texts give the same term object, shared by
-every caller, which is safe because terms are frozen values.
+The three entry points `parse_space`, `parse_point` and `parse_set`
+remember the texts they parsed, up to PARSE_MEMO_SIZE each: equal texts
+give the same term object, shared by every caller, which is safe because
+terms are frozen values.
 """
 
 from __future__ import annotations
@@ -268,8 +268,7 @@ parse_space = memo_by_text(_parse_space)
 
 
 def _print_qo(space: sp.FiniteQO) -> str:
-    if all(space.holds(x, y) == (x == y)
-           for x in space.elements for y in space.elements):
+    if space.is_discrete:
         return "(fin %s)" % " ".join(space.elements)
     pairs = sorted((x, y) for (x, y) in space.leq if x != y)
     return "(qo (elems %s) (leq %s))" % (

@@ -61,6 +61,8 @@ class FiniteQO:
         for (x, y), (y2, z) in itertools.product(self.leq, repeat=2):
             if y == y2 and (x, z) not in self.leq:
                 raise SpaceError("relation is not transitive: %r %r %r" % (x, y, z))
+        # Discrete: leq holds the reflexive pairs only.
+        object.__setattr__(self, "is_discrete", len(self.leq) == len(elems))
 
     def __repr__(self):
         # The pairs in sorted order, so that an error message naming the
