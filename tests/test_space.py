@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -41,6 +42,25 @@ AB = discrete("a", "b")
 WAB = Words(AB)
 TAB = Trees(AB)
 N3 = Product(Nat(), Product(Nat(), Nat()))
+
+
+# SHA-256 of each space's enumeration at bound 3 and of its order matrix.
+LAYER_DIGESTS = {
+    "FiniteQO":
+        "0457bdd36f732ffeaa636e1f7f3b5b7a37690c2849043c122c24fad159015329",
+    "Nat": "9e6cecadef6b2a2630690bfb2d2fafa17fb4a0be363eff1191774a5d079e8a3c",
+    "Sum": "9d7dbf605f8b99a006c7da941facf95f1eb922b7eeefac10d166c09386ef1b89",
+    "Product":
+        "7e026ab3a9d3aca064b647b44100dfda1e73c639f48d20c329826564506f4948",
+    "Words":
+        "fc08fadcae526b254a3d7422a723735629bee788696bbb4eac9e823cc935b1a4",
+    "Trees":
+        "eab66187ccc542804d7672650aad8e4f7a20836b4a6b46c53779960ab5cb7ea3",
+    "OrdWords":
+        "1ace0f1464b566d7015a08a9f2f5dd0b8e54d261edfe62b9d63fa4bae6f08647",
+    "OrdTrees":
+        "52c9e298c152cd5160fd8e472e1a7ecba6f845319b9b8e651e56fa3a34b89eb5",
+}
 
 
 def w(text: str) -> Word:
@@ -138,6 +158,7 @@ class TestPointLeq:
     def test_reflexive_transitive_everywhere(self):
         spaces = [AB, Nat(), Sum(AB, Nat()), Product(AB, Nat()), WAB, TAB,
                   OrdWords(AB, OMEGA), OrdTrees(AB, OMEGA)]
+        digests = {}
         for space in spaces:
             pts = enumerate_points(space, 3)
             for x in pts:
@@ -146,6 +167,12 @@ class TestPointLeq:
             for (x, y), (y2, z) in itertools.product(rel, repeat=2):
                 if y == y2:
                     assert (x, z) in rel
+            # The enumeration order and the whole order matrix, pinned.
+            matrix = "".join("1" if (x, y) in rel else "0"
+                             for x in pts for y in pts)
+            digests[type(space).__name__] = hashlib.sha256(
+                (repr(pts) + matrix).encode()).hexdigest()
+        assert digests == LAYER_DIGESTS
 
     def test_higman_wqo_on_random_sequences(self):
         rng = random.Random(20240817)
