@@ -33,7 +33,7 @@ from .sexpr import (
     print_point,
     print_set,
 )
-from .space import SpaceError, discrete, point_leq, typecheck
+from .space import SpaceError, discrete, point_leq
 
 
 class DomainError(ValueError):
@@ -123,8 +123,6 @@ def cmd_eval(args) -> dict:
     if args.query == "leq":
         return {"query": "leq", "result": point_leq(space, *values)}
     if args.query == "closure":
-        if not typecheck(space, values[0]):
-            raise DomainError("point does not typecheck")
         return {"query": "closure",
                 "result": print_set(S.closure_point(space, values[0]))}
     points = S.extent(space, values[0], bound)
@@ -211,7 +209,7 @@ def cmd_cover(args) -> dict:
 def cmd_divisibility(args) -> dict:
     functor = I.parse_functor(args.functor)
     size_cap = args.size_cap
-    if size_cap is None and I._has_list(functor):
+    if size_cap is None and functor.has_list():
         size_cap = 2 * args.depth
     if args.check == "stability":
         ok = I.check_preorder_stability(functor, args.depth, size_cap)

@@ -6,6 +6,12 @@ coincides with the Alexandroff topology of that preorder.
 An element of the initial algebra is its own one-step unfolding: a functor
 value whose identity positions hold further elements.  Stage n holds the
 elements of depth at most n; stage 0 is empty.
+
+Each functor class holds its rules: `lift`, the order lift; `occurrences`,
+the identity-position contents of a one-step value; `values`, its one-step
+values over a pool; `grounded`, whether the empty pool has values; and
+`has_list`.  Each element class holds `size()`.  Adding a functor takes its
+class with these rules, its place in `FunctorExpr`, and one grammar row.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
                     Union as TUnion, get_args)
 
 from .expanders import _children_menu, _letter_subbasis
@@ -49,19 +55,53 @@ class FunctorError(ValueError):
 # -- functor grammar ------------------------------------------------------------
 
 
+def _true(self) -> bool:
+    return True
+
+
+def _false(self) -> bool:
+    return False
+
+
+def _no_occurrences(self, v) -> tuple:
+    return ()
+
+
 @dataclass(frozen=True)
 class UnitF:
-    pass
+    grounded, has_list, occurrences = _true, _false, _no_occurrences
+
+    def values(self, pool, size_cap):
+        return (MUnit(),)
+
+    def lift(self, base, x, y) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
 class ConstF:
     space: SpaceExpr
+    grounded, has_list, occurrences = _true, _false, _no_occurrences
+
+    def values(self, pool, size_cap):
+        return tuple(MConst(p) for p in _const_points(self.space))
+
+    def lift(self, base, x, y) -> bool:
+        return point_leq(self.space, x.point, y.point)
 
 
 @dataclass(frozen=True)
 class IdF:
-    pass
+    grounded = has_list = _false
+
+    def occurrences(self, v):
+        return (v,)
+
+    def values(self, pool, size_cap):
+        return tuple(pool)
+
+    def lift(self, base, x, y) -> bool:
+        return base(x, y)
 
 
 @dataclass(frozen=True)
@@ -69,16 +109,80 @@ class SumF:
     left: "FunctorExpr"
     right: "FunctorExpr"
 
+    def grounded(self) -> bool:
+        return self.left.grounded() or self.right.grounded()
+
+    def has_list(self) -> bool:
+        return self.left.has_list() or self.right.has_list()
+
+    def occurrences(self, v):
+        if isinstance(v, MInL):
+            return self.left.occurrences(v.value)
+        if isinstance(v, MInR):
+            return self.right.occurrences(v.value)
+        raise FunctorError("value does not fit the sum functor")
+
+    def values(self, pool, size_cap):
+        return (tuple(MInL(v) for v in self.left.values(pool, size_cap))
+                + tuple(MInR(v) for v in self.right.values(pool, size_cap)))
+
+    def lift(self, base, x, y) -> bool:
+        # Values of different injections are incomparable.
+        side = self.left if isinstance(x, MInL) else self.right
+        return type(x) is type(y) and side.lift(base, x.value, y.value)
+
 
 @dataclass(frozen=True)
 class ProdF:
     left: "FunctorExpr"
     right: "FunctorExpr"
+    has_list = SumF.has_list
+
+    def grounded(self) -> bool:
+        return self.left.grounded() and self.right.grounded()
+
+    def occurrences(self, v):
+        return itertools.chain(self.left.occurrences(v.left),
+                               self.right.occurrences(v.right))
+
+    def values(self, pool, size_cap):
+        rights = self.right.values(pool, size_cap)
+        return tuple(MPair(l, r) for l in self.left.values(pool, size_cap)
+                     for r in rights
+                     if size_cap is None or l.size() + r.size() <= size_cap)
+
+    def lift(self, base, x, y) -> bool:
+        return (self.left.lift(base, x.left, y.left)
+                and self.right.lift(base, x.right, y.right))
 
 
 @dataclass(frozen=True)
 class ListF:
     inner: "FunctorExpr"
+    grounded = has_list = _true  # grounded by the empty list
+
+    def occurrences(self, v):
+        return [o for item in v.items for o in self.inner.occurrences(item)]
+
+    def values(self, pool, size_cap):
+        inners = self.inner.values(pool, size_cap)
+        out: List[MuElement] = []
+
+        def extend(items: List[MuElement], budget: int):
+            out.append(MList(tuple(items)))
+            for v in inners:
+                cost = v.size()
+                if cost <= budget:
+                    items.append(v)
+                    extend(items, budget - cost)
+                    items.pop()
+
+        extend([], (size_cap or 0) - 1)
+        return tuple(out)
+
+    def lift(self, base, x, y) -> bool:
+        return higman_leq(x.items, y.items,
+                          lambda a, b: self.inner.lift(base, a, b))
 
 
 FunctorExpr = TUnion[UnitF, ConstF, IdF, SumF, ProdF, ListF]
@@ -94,40 +198,19 @@ def trees_functor(base: FiniteQO) -> FunctorExpr:
     return ProdF(ConstF(base), ListF(IdF()))
 
 
-def _has_list(f: FunctorExpr) -> bool:
-    if isinstance(f, ListF):
-        return True
-    if isinstance(f, (SumF, ProdF)):
-        return _has_list(f.left) or _has_list(f.right)
-    return False
-
-
-def _grounded(f: FunctorExpr) -> bool:
-    """Whether G(empty) is inhabited, so the algebra has depth-1 elements."""
-    if isinstance(f, (UnitF, ConstF)):
-        return True
-    if isinstance(f, IdF):
-        return False
-    if isinstance(f, SumF):
-        return _grounded(f.left) or _grounded(f.right)
-    if isinstance(f, ProdF):
-        return _grounded(f.left) and _grounded(f.right)
-    if isinstance(f, ListF):
-        return True  # the empty list
-    raise FunctorError("not a functor: %r" % (f,))
-
-
 # -- elements -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MUnit:
-    pass
+    def size(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
 class MConst:
     point: PointTerm
+    size = MUnit.size
 
 
 @dataclass(frozen=True)
@@ -135,35 +218,37 @@ class MPair:
     left: "MuElement"
     right: "MuElement"
 
+    def size(self) -> int:
+        return self.left.size() + self.right.size()
+
 
 @dataclass(frozen=True)
 class MInL:
     value: "MuElement"
 
+    def size(self) -> int:
+        return self.value.size()
+
 
 @dataclass(frozen=True)
 class MInR:
     value: "MuElement"
+    size = MInL.size
 
 
 @dataclass(frozen=True)
 class MList:
     items: Tuple["MuElement", ...]
 
+    def size(self) -> int:
+        return 1 + sum(x.size() for x in self.items)
+
 
 MuElement = TUnion[MUnit, MConst, MPair, MInL, MInR, MList]
 
 
 def mu_size(m: MuElement) -> int:
-    if isinstance(m, (MUnit, MConst)):
-        return 1
-    if isinstance(m, MPair):
-        return mu_size(m.left) + mu_size(m.right)
-    if isinstance(m, (MInL, MInR)):
-        return mu_size(m.value)
-    if isinstance(m, MList):
-        return 1 + sum(mu_size(x) for x in m.items)
-    raise FunctorError("not an element: %r" % (m,))
+    return m.size()
 
 
 key_rows(get_args(MuElement))
@@ -172,38 +257,9 @@ mu_key = canonical_key
 
 def support(f: FunctorExpr, value: MuElement) -> Tuple[MuElement, ...]:
     """The set of identity-position contents of a one-step value (for
-    polynomial+list functors, the occurrence set)."""
-    out: List[MuElement] = []
-    seen = set()
-
-    def walk(g: FunctorExpr, v: MuElement):
-        if isinstance(g, (UnitF, ConstF)):
-            return
-        if isinstance(g, IdF):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-            return
-        if isinstance(g, SumF):
-            if isinstance(v, MInL):
-                walk(g.left, v.value)
-            elif isinstance(v, MInR):
-                walk(g.right, v.value)
-            else:
-                raise FunctorError("value does not fit the sum functor")
-            return
-        if isinstance(g, ProdF):
-            walk(g.left, v.left)
-            walk(g.right, v.right)
-            return
-        if isinstance(g, ListF):
-            for item in v.items:
-                walk(g.inner, item)
-            return
-        raise FunctorError("not a functor: %r" % (g,))
-
-    walk(f, value)
-    return tuple(out)
+    polynomial+list functors, the occurrence set), in order of first
+    occurrence."""
+    return tuple(dict.fromkeys(f.occurrences(value)))
 
 
 def mu_depth(f: FunctorExpr, m: MuElement) -> int:
@@ -228,14 +284,14 @@ def enumerate_mu(f: FunctorExpr, depth: int,
     """The elements of stage `depth` (empty at depth 0), deduplicated and
     sorted by size then canonical key.  Functors with list positions need a
     size cap to stay finite."""
-    if _has_list(f) and size_cap is None:
+    if f.has_list() and size_cap is None:
         raise FunctorError("list functors need a size cap to enumerate")
-    if not _grounded(f):
+    if not f.grounded():
         raise FunctorError("the initial algebra is empty at finite depth")
     pool: Tuple[MuElement, ...] = ()
     for _ in range(depth):
-        pool = _values_over(f, f, pool, size_cap)
-    return tuple(sorted(set(pool), key=lambda m: (mu_size(m), mu_key(m))))
+        pool = f.values(pool, size_cap)
+    return tuple(sorted(set(pool), key=lambda m: (m.size(), mu_key(m))))
 
 
 @lru_cache(maxsize=None)
@@ -243,65 +299,7 @@ def _const_points(space: SpaceExpr) -> Tuple[PointTerm, ...]:
     return enumerate_points(space, 1)
 
 
-def _values_over(f: FunctorExpr, g: FunctorExpr, pool, size_cap) -> Tuple[MuElement, ...]:
-    if isinstance(g, UnitF):
-        return (MUnit(),)
-    if isinstance(g, ConstF):
-        return tuple(MConst(p) for p in _const_points(g.space))
-    if isinstance(g, IdF):
-        return tuple(pool)
-    if isinstance(g, SumF):
-        return (tuple(MInL(v) for v in _values_over(f, g.left, pool, size_cap))
-                + tuple(MInR(v) for v in _values_over(f, g.right, pool, size_cap)))
-    if isinstance(g, ProdF):
-        return tuple(MPair(l, r)
-                     for l in _values_over(f, g.left, pool, size_cap)
-                     for r in _values_over(f, g.right, pool, size_cap)
-                     if size_cap is None or mu_size(MPair(l, r)) <= size_cap)
-    if isinstance(g, ListF):
-        inners = _values_over(f, g.inner, pool, size_cap)
-        out: List[MuElement] = []
-
-        def extend(items: List[MuElement], budget: int):
-            out.append(MList(tuple(items)))
-            for v in inners:
-                cost = mu_size(v)
-                if cost <= budget:
-                    items.append(v)
-                    extend(items, budget - cost)
-                    items.pop()
-
-        extend([], (size_cap or 0) - 1)
-        return tuple(out)
-    raise FunctorError("not a functor: %r" % (g,))
-
-
 # -- staged divisibility preorder -------------------------------------------------
-
-
-def _lift_leq(g: FunctorExpr, base: Callable[[MuElement, MuElement], bool],
-              x: MuElement, y: MuElement) -> bool:
-    """The canonical order lift: componentwise on sums and products, the
-    given relation at identity positions, Higman on list positions."""
-    if isinstance(g, UnitF):
-        return True
-    if isinstance(g, ConstF):
-        return point_leq(g.space, x.point, y.point)
-    if isinstance(g, IdF):
-        return base(x, y)
-    if isinstance(g, SumF):
-        if isinstance(x, MInL) and isinstance(y, MInL):
-            return _lift_leq(g.left, base, x.value, y.value)
-        if isinstance(x, MInR) and isinstance(y, MInR):
-            return _lift_leq(g.right, base, x.value, y.value)
-        return False
-    if isinstance(g, ProdF):
-        return (_lift_leq(g.left, base, x.left, y.left)
-                and _lift_leq(g.right, base, x.right, y.right))
-    if isinstance(g, ListF):
-        return higman_leq(x.items, y.items,
-                          lambda a, b: _lift_leq(g.inner, base, a, b))
-    raise FunctorError("not a functor: %r" % (g,))
 
 
 class DivisibilityTable:
@@ -325,13 +323,10 @@ class DivisibilityTable:
 
     def _close(self, universe, prev_rel) -> FrozenSet:
         base = lambda a, b: (a, b) in prev_rel
-        pairs = set()
-        for x, y in itertools.product(universe, repeat=2):
-            if _lift_leq(self.functor, base, x, y):
-                pairs.add((x, y))
-        for y in universe:
-            for c in support(self.functor, y):
-                pairs.add((c, y))
+        lift = self.functor.lift
+        pairs = {(x, y) for x, y in itertools.product(universe, repeat=2)
+                 if lift(base, x, y)}
+        pairs.update((c, y) for y in universe for c in support(self.functor, y))
         return _transitive_closure(universe, pairs)
 
     def universe(self, n: Optional[int] = None) -> Tuple[MuElement, ...]:
@@ -383,27 +378,17 @@ def check_preorder_stability(f: FunctorExpr, n: int,
 # -- conversions to word / tree points --------------------------------------------
 
 
-def _shape_error(f):
-    return FunctorError(
+def _unfold_shape(f: FunctorExpr) -> Tuple[str, FiniteQO]:
+    """("words", S) for the word shape 1 + S*X, ("trees", S) for the tree
+    shape S*List(X), where S is a finite base."""
+    match f:
+        case SumF(UnitF(), ProdF(ConstF(FiniteQO() as base), IdF())):
+            return "words", base
+        case ProdF(ConstF(FiniteQO() as base), ListF(IdF())):
+            return "trees", base
+    raise FunctorError(
         "only the word shape 1 + S*X and the tree shape S*List(X) unfold "
         "to a supported ambient space: %r" % (f,))
-
-
-def word_base(f: FunctorExpr) -> FiniteQO:
-    if (isinstance(f, SumF) and isinstance(f.left, UnitF)
-            and isinstance(f.right, ProdF) and isinstance(f.right.left, ConstF)
-            and isinstance(f.right.left.space, FiniteQO)
-            and isinstance(f.right.right, IdF)):
-        return f.right.left.space
-    raise _shape_error(f)
-
-
-def tree_base(f: FunctorExpr) -> FiniteQO:
-    if (isinstance(f, ProdF) and isinstance(f.left, ConstF)
-            and isinstance(f.left.space, FiniteQO)
-            and isinstance(f.right, ListF) and isinstance(f.right.inner, IdF)):
-        return f.left.space
-    raise _shape_error(f)
 
 
 def mu_to_word(m: MuElement) -> Word:
@@ -445,14 +430,9 @@ class UnfoldExpander:
 
     def __init__(self, functor: FunctorExpr):
         self.functor = functor
-        try:
-            self.base = word_base(functor)
-            self.kind = "words"
-            self.space: SpaceExpr = Words(self.base)
-        except FunctorError:
-            self.base = tree_base(functor)
-            self.kind = "trees"
-            self.space = Trees(self.base)
+        self.kind, self.base = _unfold_shape(functor)
+        self.space: SpaceExpr = (Words if self.kind == "words"
+                                 else Trees)(self.base)
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
         return div_exp_generators(self.functor, sources)
@@ -463,10 +443,9 @@ def div_exp_generators(f: FunctorExpr,
     """Generators of the unfold rule: the substructure-upward closure of the
     one-step image of each subbasic open of the lifted topology.  Tree
     children patterns have at most two letters."""
-    try:
-        base = word_base(f)
-    except FunctorError:
-        return [TreeOpen(b, v) for b in _letter_subbasis(tree_base(f))
+    kind, base = _unfold_shape(f)
+    if kind == "trees":
+        return [TreeOpen(b, v) for b in _letter_subbasis(base)
                 for v in _children_menu(sources, 2)]
     # Whole is the image of the nil summand.
     return [Whole()] + [UpSubstructure(PrefixConcat(b, v))

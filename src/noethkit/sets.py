@@ -60,6 +60,7 @@ from .space import (
     Word,
     Words,
     _leq,
+    _require_points,
     canonical_key,
     enumerate_points,
     key_rows,
@@ -70,7 +71,6 @@ from .space import (
     ow_suffix_from,
     ow_suffixes_strictly_after,
     point_leq,
-    typecheck,
     word_to_ord,
 )
 
@@ -890,14 +890,14 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
     if isinstance(a, Empty) or isinstance(b, Whole) or a == b:
         return IncludesResult(True, "syntactic")
     if isinstance(a, Union):
-        worst: Optional[IncludesResult] = None
+        carried = None  # the bound of the last part decided by extents
         for part in a.parts:
             r = includes(space, part, b, bound)
             if r.value is not True:
                 return r
             if r.bound is not None:
-                worst = r
-        return worst or IncludesResult(True, "union-left")
+                carried = r.bound
+        return IncludesResult(True, "union-left", bound=carried)
     up_a = _as_up_points(a)
     up_b = _as_up_points(b)
     if up_a is not None and up_b is not None:
@@ -1011,13 +1011,6 @@ def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
     return None
 
 
-def _require_points(space: SpaceExpr, points: Iterable[PointTerm]) -> None:
-    for p in points:
-        if not typecheck(space, p):
-            raise SpaceError("point %r does not typecheck in %r"
-                             % (p, space))
-
-
 def _checked_points(space: SpaceExpr, points) -> Tuple[PointTerm, ...]:
     """The distinct points of a closure, each typechecked once."""
     points = tuple(dict.fromkeys(points))
@@ -1039,6 +1032,7 @@ def closure_point(space: SpaceExpr, p: PointTerm) -> ClosedExpr:
     """Topological closure of a single point.  Over word spaces this is the
     product of per-letter down-closures (one AtMostOne atom per letter),
     defined for finite-length words; elsewhere it is the down-closure."""
+    _require_point(space, p)
     if isinstance(space, (Words, OrdWords)):
         if isinstance(p, OrdWord):
             p = ord_to_word(p)

@@ -9,13 +9,19 @@ sums, Higman's subsequence embedding on words, and the homeomorphic
 
 Ordinal-length words are represented in finitely presented form: a finite
 list of (letter, ordinal count) runs with distinct adjacent letters.
+
+Each space class holds its rules `typecheck(p)`, `order(x, y)` (on points
+that typecheck) and `enumerate(bound)`, and each point class `size()`; the
+order and enumeration rules recurse through the memos `_leq` and
+`_enumerate`.  Adding a space takes its class with these rules, its place
+in `SpaceExpr`, and one `sexpr` grammar row.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, Iterable, Tuple, Union, get_args
 
@@ -82,6 +88,15 @@ class FiniteQO:
         return frozenset(y for y in self.elements
                          if any(self.holds(y, x) for x in names))
 
+    def typecheck(self, p) -> bool:
+        return isinstance(p, Atom) and p.name in self.element_set
+
+    def order(self, x, y) -> bool:
+        return self.holds(x.name, y.name)
+
+    def enumerate(self, bound: int):
+        return tuple(Atom(n) for n in self.elements) if bound >= 1 else ()
+
 
 def discrete(*names: str) -> FiniteQO:
     return FiniteQO(tuple(names), frozenset((n, n) for n in names))
@@ -108,7 +123,15 @@ def chain(*names: str) -> FiniteQO:
 
 @dataclass(frozen=True)
 class Nat:
-    pass
+    def typecheck(self, p) -> bool:
+        return isinstance(p, NatVal)
+
+    def order(self, x, y) -> bool:
+        return x.n <= y.n
+
+    def enumerate(self, bound: int):
+        _check_universe(bound + 1)
+        return tuple(NatVal(n) for n in range(bound + 1))
 
 
 @dataclass(frozen=True)
@@ -116,21 +139,85 @@ class Sum:
     left: "SpaceExpr"
     right: "SpaceExpr"
 
+    def typecheck(self, p) -> bool:
+        if isinstance(p, InL):
+            return self.left.typecheck(p.value)
+        return isinstance(p, InR) and self.right.typecheck(p.value)
+
+    def order(self, x, y) -> bool:
+        # Points of different injections are incomparable.
+        side = self.left if isinstance(x, InL) else self.right
+        return type(x) is type(y) and _leq(side, x.value, y.value)
+
+    def enumerate(self, bound: int):
+        left = _enumerate(self.left, bound)
+        right = _enumerate(self.right, bound)
+        _check_universe(len(left) + len(right))
+        return tuple(InL(p) for p in left) + tuple(InR(p) for p in right)
+
 
 @dataclass(frozen=True)
 class Product:
     left: "SpaceExpr"
     right: "SpaceExpr"
 
+    def typecheck(self, p) -> bool:
+        return (isinstance(p, Pair) and self.left.typecheck(p.left)
+                and self.right.typecheck(p.right))
+
+    def order(self, x, y) -> bool:
+        return (_leq(self.left, x.left, y.left)
+                and _leq(self.right, x.right, y.right))
+
+    def enumerate(self, bound: int):
+        left = _enumerate(self.left, bound)
+        right = _enumerate(self.right, bound)
+        _check_universe(len(left) * len(right))
+        return tuple(Pair(l, r) for l in left for r in right)
+
 
 @dataclass(frozen=True)
 class Words:
     base: "SpaceExpr"
 
+    def typecheck(self, p) -> bool:
+        return isinstance(p, Word) and all(map(self.base.typecheck, p.letters))
+
+    def order(self, x, y) -> bool:
+        return higman_leq(x.letters, y.letters, partial(_leq, self.base))
+
+    def enumerate(self, bound: int):
+        # Breadth-first: the loop reads the queue it appends to.
+        letters = [(x, max(x.size(), 1)) for x in _enumerate(self.base, bound)]
+        words = [((), bound)]
+        for prefix, remaining in words:
+            for x, weight in letters:
+                if weight <= remaining:
+                    words.append((prefix + (x,), remaining - weight))
+                    _check_universe(len(words))
+        return tuple(Word(prefix) for prefix, _ in words)
+
 
 @dataclass(frozen=True)
 class Trees:
     base: "SpaceExpr"
+
+    def typecheck(self, p) -> bool:
+        return (isinstance(p, TreeNode) and self.base.typecheck(p.label)
+                and all(map(self.typecheck, p.children)))
+
+    def order(self, x, y) -> bool:
+        # Homeomorphic embedding: sink into a child, or match the root and
+        # embed the children Higman-wise, with subtree pairs memoised.  This
+        # is the specialisation order of the tree topology (and the
+        # divisibility order of the tree unfolding).
+        return (any(_leq(self, x, c) for c in y.children)
+                or (_leq(self.base, x.label, y.label)
+                    and higman_leq(x.children, y.children,
+                                   partial(_leq, self))))
+
+    def enumerate(self, bound: int):
+        return _enumerate_trees(self, bound, runs=False)
 
 
 @dataclass(frozen=True)
@@ -142,6 +229,28 @@ class OrdWords:
         if self.alpha.is_zero():
             raise SpaceError("OrdWords needs alpha > 0")
 
+    def typecheck(self, p) -> bool:
+        return (isinstance(p, OrdWord)
+                and all(self.base.typecheck(x) for x, _ in p.segments)
+                and cmp(ow_length(p), self.alpha) < 0)
+
+    def order(self, x, y) -> bool:
+        return ow_higman_leq(x, y, partial(_leq, self.base))
+
+    def enumerate(self, bound: int):
+        letters = [(x, max(x.size(), 1)) for x in _enumerate(self.base, bound)]
+        runs = [((), bound, None)]
+        for prefix, remaining, last in runs:
+            for x, weight in letters:
+                if x == last:
+                    continue
+                for count in range(1, remaining // weight + 1):
+                    runs.append((prefix + ((x, Ordinal.from_int(count)),),
+                                 remaining - weight * count, x))
+                    _check_universe(len(runs))
+        words = (OrdWord(prefix) for prefix, _, _ in runs)
+        return tuple(p for p in words if self.typecheck(p))
+
 
 @dataclass(frozen=True)
 class OrdTrees:
@@ -151,6 +260,21 @@ class OrdTrees:
     def __post_init__(self):
         if self.alpha.is_zero():
             raise SpaceError("OrdTrees needs alpha > 0")
+
+    def typecheck(self, p) -> bool:
+        return (isinstance(p, OrdTreeNode) and self.base.typecheck(p.label)
+                and cmp(ow_length(p.children), self.alpha) < 0
+                and all(self.typecheck(t) for t, _ in p.children.segments))
+
+    def order(self, x, y) -> bool:
+        # Trees' rule over the runs of the children.
+        return (any(_leq(self, x, c) for c, _ in y.children.segments)
+                or (_leq(self.base, x.label, y.label)
+                    and ow_higman_leq(x.children, y.children,
+                                      partial(_leq, self))))
+
+    def enumerate(self, bound: int):
+        return _enumerate_trees(self, bound, runs=True)
 
 
 SpaceExpr = Union[FiniteQO, Nat, Sum, Product, Words, Trees, OrdWords, OrdTrees]
@@ -163,6 +287,9 @@ SpaceExpr = Union[FiniteQO, Nat, Sum, Product, Words, Trees, OrdWords, OrdTrees]
 class Atom:
     name: str
 
+    def size(self) -> int:
+        return 1
+
 
 @dataclass(frozen=True)
 class NatVal:
@@ -172,32 +299,49 @@ class NatVal:
         if self.n < 0:
             raise SpaceError("naturals only")
 
+    def size(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
 class Pair:
     left: "PointTerm"
     right: "PointTerm"
 
+    def size(self) -> int:
+        return max(self.left.size(), self.right.size())
+
 
 @dataclass(frozen=True)
 class InL:
     value: "PointTerm"
 
+    def size(self) -> int:
+        return self.value.size()
+
 
 @dataclass(frozen=True)
 class InR:
     value: "PointTerm"
+    size = InL.size
 
 
 @dataclass(frozen=True)
 class Word:
     letters: Tuple["PointTerm", ...]
 
+    def size(self) -> int:
+        return sum(max(x.size(), 1) for x in self.letters)
+
 
 @dataclass(frozen=True)
 class TreeNode:
     label: "PointTerm"
     children: Tuple["PointTerm", ...]
+
+    def size(self) -> int:
+        return (max(self.label.size(), 1)
+                + sum(c.size() for c in self.children))
 
 
 @dataclass(frozen=True)
@@ -216,11 +360,22 @@ class OrdWord:
                 raise SpaceError("adjacent runs must have distinct letters")
             prev = letter
 
+    def size(self) -> int:
+        total = 0
+        for letter, count in self.segments:
+            if not count.is_finite():
+                raise SpaceError("infinite runs have no finite size")
+            total += count.to_int() * max(letter.size(), 1)
+        return total
+
 
 @dataclass(frozen=True)
 class OrdTreeNode:
     label: "PointTerm"
     children: OrdWord  # letters are OrdTreeNode subtrees
+
+    def size(self) -> int:
+        return max(self.label.size(), 1) + self.children.size()
 
 
 PointTerm = Union[Atom, NatVal, Pair, InL, InR, Word, TreeNode, OrdWord, OrdTreeNode]
@@ -325,69 +480,21 @@ def ow_cut_pairs(w: OrdWord) -> Tuple[Tuple[OrdWord, OrdWord], ...]:
 
 
 def point_size(p: PointTerm) -> int:
-    """Structural size used by the enumeration bound: atoms weigh 1, naturals
-    weigh their value, pairs take the max of their sides, sequences add up
-    (each letter weighing at least 1), tree nodes add label and children."""
-    if isinstance(p, Atom):
-        return 1
-    if isinstance(p, NatVal):
-        return p.n
-    if isinstance(p, Pair):
-        return max(point_size(p.left), point_size(p.right))
-    if isinstance(p, (InL, InR)):
-        return point_size(p.value)
-    if isinstance(p, Word):
-        return sum(max(point_size(x), 1) for x in p.letters)
-    if isinstance(p, TreeNode):
-        return max(point_size(p.label), 1) + sum(point_size(c) for c in p.children)
-    if isinstance(p, OrdWord):
-        total = 0
-        for letter, count in p.segments:
-            if not count.is_finite():
-                raise SpaceError("infinite runs have no finite size")
-            total += count.to_int() * max(point_size(letter), 1)
-        return total
-    if isinstance(p, OrdTreeNode):
-        return max(point_size(p.label), 1) + point_size(p.children)
-    raise SpaceError("not a point: %r" % (p,))
+    """Structural size used by the enumeration bound."""
+    return p.size()
 
 
 def typecheck(space: SpaceExpr, p: PointTerm) -> bool:
     """Whether p is a well-formed element of space."""
-    if isinstance(space, FiniteQO):
-        return isinstance(p, Atom) and p.name in space.elements
-    if isinstance(space, Nat):
-        return isinstance(p, NatVal)
-    if isinstance(space, Sum):
-        if isinstance(p, InL):
-            return typecheck(space.left, p.value)
-        if isinstance(p, InR):
-            return typecheck(space.right, p.value)
-        return False
-    if isinstance(space, Product):
-        return (isinstance(p, Pair) and typecheck(space.left, p.left)
-                and typecheck(space.right, p.right))
-    if isinstance(space, Words):
-        return (isinstance(p, Word)
-                and all(typecheck(space.base, x) for x in p.letters))
-    if isinstance(space, Trees):
-        return (isinstance(p, TreeNode) and typecheck(space.base, p.label)
-                and all(typecheck(space, c) for c in p.children))
-    if isinstance(space, OrdWords):
-        if not isinstance(p, OrdWord):
-            return False
-        if not all(typecheck(space.base, x) for x, _ in p.segments):
-            return False
-        return cmp(ow_length(p), space.alpha) < 0
-    if isinstance(space, OrdTrees):
-        if not isinstance(p, OrdTreeNode):
-            return False
-        if not typecheck(space.base, p.label):
-            return False
-        if cmp(ow_length(p.children), space.alpha) >= 0:
-            return False
-        return all(typecheck(space, t) for t, _ in p.children.segments)
-    raise SpaceError("not a space: %r" % (space,))
+    return space.typecheck(p)
+
+
+def _require_points(space: SpaceExpr, points: Iterable[PointTerm]) -> None:
+    """Raise SpaceError naming the first point that does not typecheck."""
+    for p in points:
+        if not typecheck(space, p):
+            raise SpaceError("point %r does not typecheck in %r"
+                             % (p, space))
 
 
 # -- embedding quasi-orders ---------------------------------------------------
@@ -438,46 +545,13 @@ def ow_higman_leq(u: OrdWord, v: OrdWord, letter_leq: Callable) -> bool:
 
 def point_leq(space: SpaceExpr, x: PointTerm, y: PointTerm) -> bool:
     """The canonical embedding quasi-order of the space constructor."""
-    if not (typecheck(space, x) and typecheck(space, y)):
-        raise SpaceError("points do not typecheck in %r" % (space,))
+    _require_points(space, (x, y))
     return _leq(space, x, y)
 
 
 @lru_cache(maxsize=None)
 def _leq(space: SpaceExpr, x: PointTerm, y: PointTerm) -> bool:
-    if isinstance(space, FiniteQO):
-        return space.holds(x.name, y.name)
-    if isinstance(space, Nat):
-        return x.n <= y.n
-    if isinstance(space, Sum):
-        if isinstance(x, InL) and isinstance(y, InL):
-            return _leq(space.left, x.value, y.value)
-        if isinstance(x, InR) and isinstance(y, InR):
-            return _leq(space.right, x.value, y.value)
-        return False
-    if isinstance(space, Product):
-        return (_leq(space.left, x.left, y.left)
-                and _leq(space.right, x.right, y.right))
-    if isinstance(space, Words):
-        return higman_leq(x.letters, y.letters,
-                          lambda a, b: _leq(space.base, a, b))
-    if isinstance(space, Trees):
-        # Homeomorphic embedding: sink into a child, or match the root and
-        # embed the children Higman-wise, with subtree pairs memoised.  This
-        # is the specialisation order of the tree topology (and the
-        # divisibility order of the tree unfolding).
-        return (any(_leq(space, x, c) for c in y.children)
-                or (_leq(space.base, x.label, y.label)
-                    and higman_leq(x.children, y.children,
-                                   lambda a, b: _leq(space, a, b))))
-    if isinstance(space, OrdWords):
-        return ow_higman_leq(x, y, lambda a, b: _leq(space.base, a, b))
-    if isinstance(space, OrdTrees):
-        return (any(_leq(space, x, c) for c, _ in y.children.segments)
-                or (_leq(space.base, x.label, y.label)
-                    and ow_higman_leq(x.children, y.children,
-                                      lambda a, b: _leq(space, a, b))))
-    raise SpaceError("not a space: %r" % (space,))
+    return space.order(x, y)
 
 
 def minimize_basis(items: Iterable, leq: Callable, key=None) -> Tuple:
@@ -552,72 +626,25 @@ def enumerate_points(space: SpaceExpr, size_bound: int) -> Tuple[PointTerm, ...]
     Raises SpaceError as soon as a universe passes MAX_UNIVERSE points.
 
     The result is downward closed in the point order: every well-typed
-    point below one of its points is in it.  `point_size` never decreases
-    along `_leq`, no point with an infinite run lies below one of finite
-    runs, and every well-typed point of finite runs within the bound is
-    listed.  The extent oracle relies on this for up-closure masks, so a
-    new constructor or size rule must keep it."""
-    points = sorted(set(_enumerate(space, size_bound)),
-                    key=lambda p: (point_size(p), canonical_key(p)))
-    return tuple(points)
+    point below one of its points is in it.  It holds because of two rules
+    of each class: the points' `size` never decreases along the spaces'
+    `order` (and no point with an infinite run lies below one of finite
+    runs), and each space's `enumerate` lists every well-typed point of
+    finite runs within the bound.  The extent oracle relies on this for
+    up-closure masks, so a new space or point class must keep it."""
+    return tuple(sorted(set(_enumerate(space, size_bound)),
+                        key=lambda p: (p.size(), canonical_key(p))))
 
 
 @lru_cache(maxsize=None)
 def _enumerate(space: SpaceExpr, bound: int) -> Tuple[PointTerm, ...]:
-    if bound < 0:
-        return ()
-    if isinstance(space, FiniteQO):
-        if bound < 1:
-            return ()
-        return tuple(Atom(n) for n in space.elements)
-    if isinstance(space, Nat):
-        _check_universe(bound + 1)
-        return tuple(NatVal(n) for n in range(bound + 1))
-    if isinstance(space, Sum):
-        left = _enumerate(space.left, bound)
-        right = _enumerate(space.right, bound)
-        _check_universe(len(left) + len(right))
-        return tuple(InL(p) for p in left) + tuple(InR(p) for p in right)
-    if isinstance(space, Product):
-        left = _enumerate(space.left, bound)
-        right = _enumerate(space.right, bound)
-        _check_universe(len(left) * len(right))
-        return tuple(Pair(l, r) for l in left for r in right)
-    if isinstance(space, Words):
-        # Breadth-first: the loop reads the queue it appends to.
-        letters = [(x, max(point_size(x), 1))
-                   for x in _enumerate(space.base, bound)]
-        words = [((), bound)]
-        for prefix, remaining in words:
-            for x, weight in letters:
-                if weight <= remaining:
-                    words.append((prefix + (x,), remaining - weight))
-                    _check_universe(len(words))
-        return tuple(Word(prefix) for prefix, _ in words)
-    if isinstance(space, (Trees, OrdTrees)):
-        return _enumerate_trees(space, bound)
-    if isinstance(space, OrdWords):
-        letters = [(x, max(point_size(x), 1))
-                   for x in _enumerate(space.base, bound)]
-        runs = [((), bound, None)]
-        for prefix, remaining, last in runs:
-            for x, weight in letters:
-                if x == last:
-                    continue
-                for count in range(1, remaining // weight + 1):
-                    runs.append((prefix + ((x, Ordinal.from_int(count)),),
-                                 remaining - weight * count, x))
-                    _check_universe(len(runs))
-        words = (OrdWord(prefix) for prefix, _, _ in runs)
-        return tuple(p for p in words if typecheck(space, p))
-    raise SpaceError("cannot enumerate %r" % (space,))
+    return space.enumerate(bound) if bound >= 0 else ()
 
 
-def _enumerate_trees(space, bound: int) -> Tuple[PointTerm, ...]:
-    """Trees, or ordinal trees, of each size up to `bound`: a label and a
-    forest of smaller trees; an ordinal tree's forest is a word of runs,
-    kept when the tree typechecks."""
-    runs = isinstance(space, OrdTrees)
+def _enumerate_trees(space, bound: int, runs: bool) -> Tuple[PointTerm, ...]:
+    """Trees, or with `runs` ordinal trees, of each size up to `bound`: a
+    label and a forest of smaller trees; an ordinal tree's forest is a word
+    of runs, kept when the tree typechecks."""
     labels = _enumerate(space.base, bound)
     by_size: dict = {}
 
@@ -626,13 +653,13 @@ def _enumerate_trees(space, bound: int) -> Tuple[PointTerm, ...]:
             return by_size[n]
         out = []
         for label in labels:
-            lw = max(point_size(label), 1)
+            lw = max(label.size(), 1)
             if lw > n:
                 continue
             for kids in _forests(n - lw, trees_of_size, runs):
                 tree = (OrdTreeNode(label, OrdWord(kids)) if runs
                         else TreeNode(label, kids))
-                if not runs or typecheck(space, tree):
+                if not runs or space.typecheck(tree):
                     out.append(tree)
                     _check_universe(len(out))
         by_size[n] = tuple(out)

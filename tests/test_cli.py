@@ -83,15 +83,35 @@ class TestEval:
                        "via": "wordopen-rule", "witness": None}
 
     def test_ill_typed_point_errors_read_alike(self, capsys):
-        # The point asked about and a closure point name the point alike.
-        docs = [run_cli(capsys, "eval", "member", p, u, "--space", WORDS)
-                for p, u in [("(word a)", "(up (word c))"),
-                             ("(word c)", "(up (word a))")]]
-        assert docs[0] == docs[1]
+        # The point asked about, a closure point, a point compared and a
+        # point closed name the point alike.
+        docs = [run_cli(capsys, "eval", *argv, "--space", WORDS)
+                for argv in [("member", "(word a)", "(up (word c))"),
+                             ("member", "(word c)", "(up (word a))"),
+                             ("leq", "(word a)", "(word c)")]]
+        assert docs[0] == docs[1] == docs[2]
         code, doc = docs[0]
         assert code == 1 and doc["kind"] == "domain"
         assert doc["error"].startswith(
             "point Word(letters=(Atom(name='c'),)) does not typecheck in ")
+        code, doc = run_cli(capsys, "eval", "closure", "(word a c)",
+                            "--space", WORDS)
+        assert code == 1 and doc["kind"] == "domain"
+        assert doc["error"] == docs[0][1]["error"].replace(
+            "(Atom(name='c'),)", "(Atom(name='a'), Atom(name='c'))")
+
+    @pytest.mark.parametrize("left", [
+        "(union (wordopen (base a b)) (up (word a a)))",
+        "(union (up (word a a)) (up (word b)))"])
+    def test_union_left_keeps_its_evidence(self, capsys, left):
+        # Each part is included by extents at the default bound, which the
+        # union answer carries under its own name.
+        code, doc = run_cli(capsys, "eval", "includes", left,
+                            "(union (wordopen (base a)) (wordopen (base b)))",
+                            "--space", WORDS)
+        assert code == 0
+        assert doc == {"bound": 4, "query": "includes", "result": True,
+                       "via": "union-left", "witness": None}
 
 
 class TestIterate:

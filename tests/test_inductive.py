@@ -1,4 +1,5 @@
 import itertools
+from typing import get_args
 
 import pytest
 
@@ -6,6 +7,7 @@ from noethkit.expanders import SubwordExpander, apply, iterate, trivial_stage
 from noethkit.inductive import (
     ConstF,
     DivisibilityTable,
+    FunctorExpr,
     FunctorError,
     IdF,
     ListF,
@@ -15,10 +17,12 @@ from noethkit.inductive import (
     MList,
     MPair,
     MUnit,
+    MuElement,
     ProdF,
     SumF,
     UnfoldExpander,
     UnitF,
+    _FUNCTORS,
     check_preorder_stability,
     div_exp_generators,
     divisibility_leq,
@@ -243,3 +247,21 @@ class TestUnfoldRule:
     def test_unsupported_functor_shape(self):
         with pytest.raises(FunctorError):
             UnfoldExpander(SumF(UnitF(), UnitF()))
+
+
+class TestConstructorRules:
+    """Each functor and element class states its own rules, so that a
+    half-added constructor fails here, not at run time."""
+
+    @pytest.mark.parametrize("cls", get_args(FunctorExpr),
+                             ids=lambda cls: cls.__name__)
+    def test_functor_rules_and_form(self, cls):
+        assert {"lift", "occurrences", "values", "grounded",
+                "has_list"} <= set(vars(cls))
+        # unit and id are bare tokens, read and printed by hand.
+        assert cls in {row[0] for row in _FUNCTORS.values()} | {UnitF, IdF}
+
+    @pytest.mark.parametrize("cls", get_args(MuElement),
+                             ids=lambda cls: cls.__name__)
+    def test_element_size(self, cls):
+        assert "size" in vars(cls)

@@ -2,12 +2,15 @@ import hashlib
 import itertools
 import random
 import time
+from typing import get_args
 
 import pytest
 
 from noethkit.ordinal import OMEGA, ONE, Ordinal, add, parse_ordinal
+from noethkit.sexpr import _SPACES
 from noethkit.space import (
     Atom,
+    FiniteQO,
     NatVal,
     Nat,
     OrdWord,
@@ -15,9 +18,11 @@ from noethkit.space import (
     OrdTreeNode,
     OrdTrees,
     Pair,
+    PointTerm,
     Product,
     InL,
     InR,
+    SpaceExpr,
     Sum,
     TreeNode,
     Trees,
@@ -290,3 +295,20 @@ class TestFiniteQO:
         c = chain("a", "b", "c")
         assert c.holds("a", "c")
         assert not c.holds("c", "a")
+
+
+class TestConstructorRules:
+    """Each space and point class states its own rules, so that a
+    half-added constructor fails here, not at run time."""
+
+    @pytest.mark.parametrize("cls", get_args(SpaceExpr),
+                             ids=lambda cls: cls.__name__)
+    def test_space_rules_and_form(self, cls):
+        assert {"typecheck", "order", "enumerate"} <= set(vars(cls))
+        # (fin ...), (qo ...) and nat are read and printed by hand.
+        assert cls in {row[0] for row in _SPACES.values()} | {FiniteQO, Nat}
+
+    @pytest.mark.parametrize("cls", get_args(PointTerm),
+                             ids=lambda cls: cls.__name__)
+    def test_point_size(self, cls):
+        assert "size" in vars(cls)

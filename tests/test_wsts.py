@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noethkit import sets as sets_mod, space as space_mod, wsts as wsts_mod
+from noethkit import space as space_mod, wsts as wsts_mod
 from noethkit.sets import UpClosure, up_closure
 from noethkit.space import Atom, Word, Words, canonical_key, discrete, point_leq
 from noethkit.wsts import (
@@ -294,8 +294,8 @@ class TestCertificateCost:
             finally:
                 certifying = False
 
+        # Every typecheck goes through space.typecheck.
         monkeypatch.setattr(space_mod, "typecheck", counting_typecheck)
-        monkeypatch.setattr(sets_mod, "typecheck", counting_typecheck)
         monkeypatch.setattr(wsts_mod, "find_good_index", certify)
         result = backward_coverability(VAS(5, rules), unit(0), [unit(4, 4)])
         assert result.rounds >= 20
