@@ -295,6 +295,9 @@ MALFORMED = [
     pytest.param(["eval", "leq", "a", "b",
                   "--space", "(qo (elems a b) (leq a))"], {}, None, 2,
                  id="qo-pair-short"),
+    pytest.param(["eval", "leq", "a", "b",
+                  "--space", "(qo (elems a b) (leq (a c)))"], {}, None, 1,
+                 id="qo-unknown-name"),
     pytest.param(["eval", "leq", "(ordword (a))", "(ordword (a 1))",
                   "--space", "(ordwords (fin a b) w*2)"], {}, None, 2,
                  id="ordword-run-short"),

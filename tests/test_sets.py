@@ -183,6 +183,33 @@ class TestMemberOpen:
                     assert member_open(WAB, word, expr) == word_open_def(
                         word, parts, base_member), (parts, word)
 
+    def test_word_open_over_ordinal_words_matches_definition(self):
+        # Finite runs, many of them longer than one letter, against the
+        # definition on the expanded word.
+        parts_menu = [UA, UB, BaseOpen(frozenset("ab"))]
+        base_member = lambda letter, part: letter.name in part.names
+        words = enumerate_points(OWAB, 5)
+        assert any(count.to_int() > 1 for p in words for _, count in p.segments)
+        for n in range(4):
+            for parts in itertools.product(parts_menu, repeat=n):
+                expr = WordOpen(tuple(parts))
+                for word in words:
+                    assert member_open(OWAB, word, expr) == word_open_def(
+                        ord_to_word(word), parts, base_member), (parts, word)
+
+    def test_word_open_over_omega_runs(self):
+        a2 = ow(("a", Ordinal.from_int(2)))
+        assert member_open(OWAB, a2, WordOpen((UA, UA)))
+        assert not member_open(OWAB, a2, WordOpen((UA, UA, UA)))
+        assert member_open(OWAB, ow(("a", OMEGA)), WordOpen((UA, UA, UA)))
+        # Repeated parts on both sides of an omega run.
+        b_aw_b = ow(("b", ONE), ("a", OMEGA), ("b", ONE))
+        for pattern, inside in [("bab", True), ("baaab", True), ("bb", True),
+                                ("aab", True), ("bbb", False), ("abb", False),
+                                ("bba", False), ("babab", False)]:
+            expr = WordOpen(tuple({"a": UA, "b": UB}[c] for c in pattern))
+            assert member_open(OWAB, b_aw_b, expr) == inside, pattern
+
     def test_base_open_over_an_ordered_base(self):
         # Over a <= b the upward-closed name sets answer; {a} does not.
         a_below_b = finite_qo("ab", [("a", "b")])
