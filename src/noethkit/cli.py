@@ -215,7 +215,7 @@ def cmd_divisibility(args) -> dict:
         ok = I.check_preorder_stability(functor, args.depth, size_cap)
         return {"check": "stability", "depth": args.depth, "stable": ok}
     expander = I.UnfoldExpander(functor)
-    convert = I.mu_to_word if expander.kind == "words" else I.mu_to_tree
+    convert = expander.to_point
     if args.check == "embedding":
         table = I.DivisibilityTable(functor, args.depth, size_cap)
         universe = table.universe()
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Options that count or bound something, and the least value each accepts.
-_MINIMUM = {"bound": 0, "steps": 0, "length": 0, "depth": 0, "fuel": 0,
+_MINIMUM = {"bound": 0, "steps": 0, "length": 0, "depth": 1, "fuel": 0,
             "size_cap": 0, "cap": 1}
 
 

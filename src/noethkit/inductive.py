@@ -18,18 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
+from typing import (Callable, FrozenSet, List, Optional, Sequence, Tuple,
                     Union as TUnion, get_args)
 
-from .expanders import _children_menu, _letter_subbasis
-from .sets import (
-    OpenExpr,
-    PrefixConcat,
-    TreeOpen,
-    UpSubstructure,
-    Whole,
-)
+from .expanders import PrefixExpander, TreeExpander
+from .sets import OpenExpr, UpSubstructure, Whole
 from .sexpr import (PRINTERS, SexprError, grammar, parse_row, parse_space,
                     print_space, print_term, read, shaped)
 from .space import (
@@ -37,14 +30,13 @@ from .space import (
     PointTerm,
     SpaceExpr,
     TreeNode,
-    Trees,
     Word,
-    Words,
     canonical_key,
     enumerate_points,
     higman_leq,
     key_rows,
     point_leq,
+    transitive_closure,
 )
 
 
@@ -84,7 +76,7 @@ class ConstF:
     grounded, has_list, occurrences = _true, _false, _no_occurrences
 
     def values(self, pool, size_cap):
-        return tuple(MConst(p) for p in _const_points(self.space))
+        return tuple(MConst(p) for p in enumerate_points(self.space, 1))
 
     def lift(self, base, x, y) -> bool:
         return point_leq(self.space, x.point, y.point)
@@ -247,10 +239,6 @@ class MList:
 MuElement = TUnion[MUnit, MConst, MPair, MInL, MInR, MList]
 
 
-def mu_size(m: MuElement) -> int:
-    return m.size()
-
-
 key_rows(get_args(MuElement))
 mu_key = canonical_key
 
@@ -294,32 +282,26 @@ def enumerate_mu(f: FunctorExpr, depth: int,
     return tuple(sorted(set(pool), key=lambda m: (m.size(), mu_key(m))))
 
 
-@lru_cache(maxsize=None)
-def _const_points(space: SpaceExpr) -> Tuple[PointTerm, ...]:
-    return enumerate_points(space, 1)
-
-
 # -- staged divisibility preorder -------------------------------------------------
 
 
 class DivisibilityTable:
-    """Stage-n divisibility preorders over the bounded universes A_1..A_n:
-    each stage is the transitive closure of the canonical order lift of the
-    previous stage together with the support pairs child <= parent."""
+    """Stage-n divisibility preorders over the bounded universes A_0..A_n
+    (A_0 is empty): each stage is the transitive closure of the canonical
+    order lift of the previous stage together with the support pairs
+    child <= parent."""
 
     def __init__(self, f: FunctorExpr, depth: int, size_cap: Optional[int] = None):
         self.functor = f
         self.depth = depth
         self.size_cap = size_cap
-        self.stages: List[Tuple[MuElement, ...]] = []
-        self.relations: List[FrozenSet[Tuple[MuElement, MuElement]]] = []
-        prev_rel: FrozenSet = frozenset()
+        self.stages: List[Tuple[MuElement, ...]] = [()]
+        self.relations: List[FrozenSet[Tuple[MuElement, MuElement]]] = [
+            frozenset()]
         for n in range(1, depth + 1):
             universe = enumerate_mu(f, n, size_cap)
-            rel = self._close(universe, prev_rel)
+            self.relations.append(self._close(universe, self.relations[-1]))
             self.stages.append(universe)
-            self.relations.append(rel)
-            prev_rel = rel
 
     def _close(self, universe, prev_rel) -> FrozenSet:
         base = lambda a, b: (a, b) in prev_rel
@@ -327,30 +309,13 @@ class DivisibilityTable:
         pairs = {(x, y) for x, y in itertools.product(universe, repeat=2)
                  if lift(base, x, y)}
         pairs.update((c, y) for y in universe for c in support(self.functor, y))
-        return _transitive_closure(universe, pairs)
+        return transitive_closure(pairs)
 
     def universe(self, n: Optional[int] = None) -> Tuple[MuElement, ...]:
-        return self.stages[(n or self.depth) - 1]
+        return self.stages[self.depth if n is None else n]
 
     def leq(self, a: MuElement, b: MuElement, n: Optional[int] = None) -> bool:
-        return (a, b) in self.relations[(n or self.depth) - 1]
-
-
-def _transitive_closure(universe, pairs):
-    succ: Dict[MuElement, set] = {u: set() for u in universe}
-    for a, b in pairs:
-        succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in universe:
-            grow = set()
-            for b in succ[a]:
-                grow |= succ[b]
-            if not grow <= succ[a]:
-                succ[a] |= grow
-                changed = True
-    return frozenset((a, b) for a in universe for b in succ[a])
+        return (a, b) in self.relations[self.depth if n is None else n]
 
 
 def divisibility_leq(f: FunctorExpr, n: int, a: MuElement, b: MuElement,
@@ -362,30 +327,38 @@ def divisibility_leq(f: FunctorExpr, n: int, a: MuElement, b: MuElement,
 def check_preorder_stability(f: FunctorExpr, n: int,
                              size_cap: Optional[int] = None) -> bool:
     """Verify that composing the preorder with the substructure order and
-    closing transitively adds no pairs at stage n."""
+    closing transitively adds no pairs at stage n.  The substructure order
+    is the identity and the transitive closure of the support pairs; the
+    identity part gives back the preorder's own pairs, so the composition
+    reads the closure only."""
     table = DivisibilityTable(f, n, size_cap)
-    universe = table.universe(n)
-    rel = set(table.relations[n - 1])
-    composed = set(rel)
-    for a, b in rel:
-        for c in universe:
-            if substructure_leq(f, b, c):
-                composed.add((a, c))
-    closed = _transitive_closure(universe, composed)
-    return closed == table.relations[n - 1]
+    above: dict = {}  # each element's strict superstructures in A_n
+    for b, c in transitive_closure((c, y) for y in table.universe()
+                                   for c in support(f, y)):
+        above.setdefault(b, []).append(c)
+    rel = table.relations[n]
+    composed = rel.union((a, c) for a, b in rel for c in above.get(b, ()))
+    return transitive_closure(composed) == rel
 
 
 # -- conversions to word / tree points --------------------------------------------
 
 
-def _unfold_shape(f: FunctorExpr) -> Tuple[str, FiniteQO]:
-    """("words", S) for the word shape 1 + S*X, ("trees", S) for the tree
-    shape S*List(X), where S is a finite base."""
+def _unfold_shape(f: FunctorExpr) -> Tuple[SpaceExpr, Callable, Callable]:
+    """The ambient space of a functor's unfolding, the converter of its
+    elements to points of that space, and the unfold rule's generator menu
+    over stage sources: for the word shape 1 + S*X the nil summand's image
+    Whole and the substructure-upward closures of the prefix rule's
+    generators; for the tree shape S*List(X) the tree rule's subtree opens,
+    whose children patterns have at most two letters.  S is a finite base."""
     match f:
         case SumF(UnitF(), ProdF(ConstF(FiniteQO() as base), IdF())):
-            return "words", base
+            prefix = PrefixExpander(base)
+            return prefix.space, mu_to_word, lambda sources: [Whole()] + [
+                UpSubstructure(g) for g in prefix.fresh_generators(sources)]
         case ProdF(ConstF(FiniteQO() as base), ListF(IdF())):
-            return "trees", base
+            tree = TreeExpander(base)
+            return tree.space, mu_to_tree, tree.fresh_generators
     raise FunctorError(
         "only the word shape 1 + S*X and the tree shape S*List(X) unfold "
         "to a supported ambient space: %r" % (f,))
@@ -424,32 +397,25 @@ def tree_to_mu(t: TreeNode) -> MuElement:
 class UnfoldExpander:
     """Lifts stage opens through one functor unfolding and closes upward
     under the substructure order.  For the word shape the generators are
-    suffix-closed head patterns; for the tree shape they are subtree opens."""
+    suffix-closed head patterns; for the tree shape they are subtree opens.
+    `space` is the ambient space and `to_point` converts elements to its
+    points."""
 
     name = "unfold"
 
     def __init__(self, functor: FunctorExpr):
         self.functor = functor
-        self.kind, self.base = _unfold_shape(functor)
-        self.space: SpaceExpr = (Words if self.kind == "words"
-                                 else Trees)(self.base)
+        self.space, self.to_point, self._menu = _unfold_shape(functor)
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-        return div_exp_generators(self.functor, sources)
+        return self._menu(sources)
 
 
 def div_exp_generators(f: FunctorExpr,
                        sources: Sequence[OpenExpr]) -> List[OpenExpr]:
     """Generators of the unfold rule: the substructure-upward closure of the
-    one-step image of each subbasic open of the lifted topology.  Tree
-    children patterns have at most two letters."""
-    kind, base = _unfold_shape(f)
-    if kind == "trees":
-        return [TreeOpen(b, v) for b in _letter_subbasis(base)
-                for v in _children_menu(sources, 2)]
-    # Whole is the image of the nil summand.
-    return [Whole()] + [UpSubstructure(PrefixConcat(b, v))
-                        for b in _letter_subbasis(base) for v in sources]
+    one-step image of each subbasic open of the lifted topology."""
+    return UnfoldExpander(f).fresh_generators(sources)
 
 
 # -- textual functor grammar (see sexpr) ---------------------------------------

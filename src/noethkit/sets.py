@@ -63,11 +63,13 @@ from .space import (
     _require_points,
     canonical_key,
     enumerate_points,
+    higman_leq,
     key_rows,
     minimize_basis,
     ord_to_word,
     ord_word,
     ow_cut_pairs,
+    ow_higman_leq,
     ow_suffix_from,
     ow_suffixes_strictly_after,
     point_leq,
@@ -269,37 +271,20 @@ class SumOpen(_Set):
 @dataclass(frozen=True)
 class WordOpen(_Set):
     """<U1,...,Un>: words with letters in U1..Un in order, anything between.
-    Parts are opens of the base space."""
+    Parts are opens of the base space.  A word is in it iff the pattern
+    embeds into it Higman-wise, where a letter fits a part it is a member
+    of; on an ordinal word each part is a run of one."""
 
     parts: Tuple[OpenExpr, ...]
 
     def member(self, space, p) -> bool:
         base = _word_space_base(space)
+        fits = lambda part, letter: part.member(base, letter)
         if isinstance(p, Word):
-            j = 0
-            for part in self.parts:
-                while j < len(p.letters) and not part.member(base,
-                                                             p.letters[j]):
-                    j += 1
-                if j == len(p.letters):
-                    return False
-                j += 1
-            return True
+            return higman_leq(self.parts, p.letters, fits)
         if isinstance(p, OrdWord):
-            seg = 0
-            used = 0  # letters already consumed from the current finite run
-            for part in self.parts:
-                while seg < len(p.segments):
-                    letter, count = p.segments[seg]
-                    exhausted = count.is_finite() and used >= count.to_int()
-                    if not exhausted and part.member(base, letter):
-                        used += 1
-                        break
-                    seg += 1
-                    used = 0
-                else:
-                    return False
-            return True
+            return ow_higman_leq(tuple((part, ONE) for part in self.parts),
+                                 p.segments, fits)
         raise SetError("not a word point: %r" % (p,))
 
     def mask(self, oracle) -> int:
@@ -912,9 +897,7 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
                 return IncludesResult(False, "up-closure", witness=f)
         return IncludesResult(True, "up-closure")
     if isinstance(a, WordOpen) and isinstance(b, WordOpen):
-        r = _word_open_rule(space, a, b, bound)
-        if r is not None:
-            return r
+        return _word_open_rule(space, a, b, bound)
     if isinstance(b, Union):
         for part in b.parts:
             r = includes(space, a, part, bound)
@@ -954,28 +937,28 @@ def _as_up_points(u) -> Optional[Tuple[PointTerm, ...]]:
     return None
 
 
-def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> Optional[IncludesResult]:
-    """<U1..Un> <= <V1..Vm> iff a strictly increasing h with U_h(j) <= V_j.
-    A True answer carries the bound its letter inclusions were decided at
-    when one of them was decided by extents."""
+def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> IncludesResult:
+    """<U1..Un> <= <V1..Vm> iff a strictly increasing h with U_h(j) <= V_j:
+    the Higman match of b's parts into a's, where a part fits the parts
+    that it includes.  A True answer carries the bound its letter
+    inclusions were decided at when one of them was decided by extents."""
     base_bound = bound if bound is not None else default_bound()
     base = _word_space_base(space)
-    bounded = False
-    i = 0
-    for v in b.parts:
-        while i < len(a.parts):
-            r = includes(base, a.parts[i], v, base_bound)
-            i += 1
-            if r.value is True:
-                bounded = bounded or r.bound is not None
-                break
-        else:
-            # A witness needs only one letter per left-hand part.
-            oracle = oracle_for(space, max(base_bound, len(a.parts)))
-            return IncludesResult(False, "wordopen-rule",
-                                  witness=_least_outside(oracle, a, b))
-    return IncludesResult(True, "wordopen-rule",
-                          bound=base_bound if bounded else None)
+    bounded = False  # whether an inclusion the match used had a bound
+
+    def fits(v, u) -> bool:
+        nonlocal bounded
+        r = includes(base, u, v, base_bound)
+        bounded = bounded or (r.value is True and r.bound is not None)
+        return r.value is True
+
+    if higman_leq(b.parts, a.parts, fits):
+        return IncludesResult(True, "wordopen-rule",
+                              bound=base_bound if bounded else None)
+    # A witness needs only one letter per left-hand part.
+    oracle = oracle_for(space, max(base_bound, len(a.parts)))
+    return IncludesResult(False, "wordopen-rule",
+                          witness=_least_outside(oracle, a, b))
 
 
 def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):

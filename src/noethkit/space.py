@@ -105,16 +105,27 @@ def discrete(*names: str) -> FiniteQO:
 def finite_qo(names: Iterable[str], pairs: Iterable[Tuple[str, str]]) -> FiniteQO:
     """Build a FiniteQO from generating pairs (reflexive-transitive closure)."""
     names = tuple(names)
-    rel = {(n, n) for n in names}
-    rel.update(pairs)
+    return FiniteQO(names, transitive_closure(
+        itertools.chain(((n, n) for n in names), pairs)))
+
+
+def transitive_closure(pairs: Iterable[Tuple]) -> frozenset:
+    """The transitive closure of a relation given by its pairs: each
+    element's successor set takes in its successors' sets until none grows."""
+    succ: dict = {}
+    for x, y in pairs:
+        succ.setdefault(x, set()).add(y)
     changed = True
     while changed:
         changed = False
-        for (x, y), (y2, z) in itertools.product(tuple(rel), repeat=2):
-            if y == y2 and (x, z) not in rel:
-                rel.add((x, z))
+        for ys in succ.values():
+            grow = set()
+            for y in ys:
+                grow.update(succ.get(y, ()))
+            if not grow <= ys:
+                ys |= grow
                 changed = True
-    return FiniteQO(names, frozenset(rel))
+    return frozenset((x, y) for x, ys in succ.items() for y in ys)
 
 
 def chain(*names: str) -> FiniteQO:
@@ -235,7 +246,7 @@ class OrdWords:
                 and cmp(ow_length(p), self.alpha) < 0)
 
     def order(self, x, y) -> bool:
-        return ow_higman_leq(x, y, partial(_leq, self.base))
+        return ow_higman_leq(x.segments, y.segments, partial(_leq, self.base))
 
     def enumerate(self, bound: int):
         letters = [(x, max(x.size(), 1)) for x in _enumerate(self.base, bound)]
@@ -270,7 +281,8 @@ class OrdTrees:
         # Trees' rule over the runs of the children.
         return (any(_leq(self, x, c) for c, _ in y.children.segments)
                 or (_leq(self.base, x.label, y.label)
-                    and ow_higman_leq(x.children, y.children,
+                    and ow_higman_leq(x.children.segments,
+                                      y.children.segments,
                                       partial(_leq, self))))
 
     def enumerate(self, bound: int):
@@ -476,12 +488,7 @@ def ow_cut_pairs(w: OrdWord) -> Tuple[Tuple[OrdWord, OrdWord], ...]:
     return tuple(pairs)
 
 
-# -- structural size and typechecking ----------------------------------------
-
-
-def point_size(p: PointTerm) -> int:
-    """Structural size used by the enumeration bound."""
-    return p.size()
+# -- typechecking -------------------------------------------------------------
 
 
 def typecheck(space: SpaceExpr, p: PointTerm) -> bool:
@@ -513,33 +520,32 @@ def higman_leq(u: Tuple, v: Tuple, letter_leq: Callable) -> bool:
     return True
 
 
-def ow_higman_leq(u: OrdWord, v: OrdWord, letter_leq: Callable) -> bool:
-    """Higman embedding on finitely presented ordinal words: greedy run
-    matching, consuming counts ordinal-wise."""
+def ow_higman_leq(u: Tuple, v: Tuple, letter_leq: Callable) -> bool:
+    """Higman embedding on the runs of finitely presented ordinal words,
+    tuples of (letter, nonzero ordinal count): greedy run matching,
+    consuming counts ordinal-wise."""
     i = 0
-    need = u.segments[0][1] if u.segments else ZERO
+    need = u[0][1] if u else ZERO
     j = 0
-    avail = v.segments[0][1] if v.segments else ZERO
-    while i < len(u.segments):
-        if j >= len(v.segments):
+    avail = v[0][1] if v else ZERO
+    while i < len(u):
+        if j >= len(v):
             return False
-        x = u.segments[i][0]
-        y = v.segments[j][0]
-        if letter_leq(x, y):
+        if letter_leq(u[i][0], v[j][0]):
             if cmp(need, avail) <= 0:
                 avail = left_subtract(need, avail)
                 i += 1
-                need = u.segments[i][1] if i < len(u.segments) else ZERO
+                need = u[i][1] if i < len(u) else ZERO
                 if avail.is_zero():
                     j += 1
-                    avail = v.segments[j][1] if j < len(v.segments) else ZERO
+                    avail = v[j][1] if j < len(v) else ZERO
             else:
                 need = left_subtract(avail, need)
                 j += 1
-                avail = v.segments[j][1] if j < len(v.segments) else ZERO
+                avail = v[j][1] if j < len(v) else ZERO
         else:
             j += 1
-            avail = v.segments[j][1] if j < len(v.segments) else ZERO
+            avail = v[j][1] if j < len(v) else ZERO
     return True
 
 

@@ -280,6 +280,10 @@ MALFORMED = [
     pytest.param(["divisibility", "(mu (sum unit (prod (fin a b) id)))",
                   "--depth", "-1", "--check", "stability"], {}, None, 1,
                  id="depth-negative"),
+    *(pytest.param(["divisibility", "(sum unit (prod (fin a b) id))",
+                    "--depth", "0", "--check", check], {}, None, 1,
+                   id="depth-zero-" + check)
+      for check in ("embedding", "stability", "coincidence")),
     pytest.param(["iterate", "subword", "--steps", "x"], {}, None, 2,
                  id="steps-not-a-number"),
     pytest.param(["iterate", "subword"], {}, None, 2, id="steps-missing"),

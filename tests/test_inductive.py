@@ -28,7 +28,6 @@ from noethkit.inductive import (
     divisibility_leq,
     enumerate_mu,
     mu_depth,
-    mu_size,
     mu_to_tree,
     mu_to_word,
     substructure_leq,
