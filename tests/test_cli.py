@@ -51,6 +51,15 @@ class TestEval:
         assert code == 0
         assert doc["result"] == "(ordprod (amo (down a)) (amo (down b)))"
 
+    def test_includes_past_the_universe_cap_is_unknown(self, capsys):
+        # No exact rule applies, and the universe at bound 20 has more than
+        # MAX_UNIVERSE points: the answer is Unknown, not an error.
+        code, doc = run_cli(
+            capsys, "eval", "includes", "(wordopen (base a))",
+            "(up (word a))", "--space", "(words (fin a b))", "--bound", "20")
+        assert code == 0
+        assert doc["result"] is None and doc["via"] == "no-extent-oracle"
+
     def test_extent_export(self, capsys):
         code, doc = run_cli(capsys, "eval", "extent", "(wordopen (up a))",
                             "--space", "(words (fin a b))", "--bound", "1")

@@ -158,6 +158,39 @@ def rtimes_def(space, word, closed, inner, bound):
     return False
 
 
+def drop_first(word: OrdWord) -> OrdWord:
+    """An ordinal word past its first position: the first run's count c
+    becomes the c' with 1 + c' = c, which is c itself when c is infinite."""
+    (letter, count), rest = word.segments[0], word.segments[1:]
+    if count.is_finite():
+        count = Ordinal.from_int(count.to_int() - 1)
+    return OrdWord((() if count.is_zero() else ((letter, count),)) + rest)
+
+
+def word_suffixes(word: Word):
+    return [Word(word.letters[i:]) for i in range(len(word.letters) + 1)]
+
+
+def subtrees(tree):
+    """A tree and the subtrees of its children, the runs of an ordinal
+    tree's children read once each."""
+    kids = (tree.children if isinstance(tree, TreeNode)
+            else [c for c, _ in tree.children.segments])
+    return [tree] + [s for c in kids for s in subtrees(c)]
+
+
+def tree_open_def(space, tree, root_open, children_open):
+    """Definition of TreeOpen: some subtree's root label lies in root_open
+    and its children, as a word over the tree space, in children_open."""
+    if isinstance(space, Trees):
+        kids_space, kids = Words(space), lambda t: Word(t.children)
+    else:
+        kids_space, kids = OrdWords(space, space.alpha), lambda t: t.children
+    return any(member_open(space.base, s.label, root_open)
+               and member_open(kids_space, kids(s), children_open)
+               for s in subtrees(tree))
+
+
 # -- membership ---------------------------------------------------------------
 
 
@@ -1120,6 +1153,149 @@ class TestNormalForm:
         p = ow(("a", OMEGA))
         assert member_open(OWAB, p, normalize_open(u))
         assert member_open(OWAB, p, u)
+
+
+# Ordinal words with an infinite run, each with its suffixes (the words
+# past each position, and the empty word), listed by hand.
+OMEGA_SUFFIXES = {
+    ow(("a", OMEGA)): [ow(("a", OMEGA)), OrdWord(())],
+    ow(("b", ONE), ("a", OMEGA)): [ow(("b", ONE), ("a", OMEGA)),
+                                   ow(("a", OMEGA)), OrdWord(())],
+    ow(("a", OMEGA), ("b", Ordinal.from_int(2))): [
+        ow(("a", OMEGA), ("b", Ordinal.from_int(2))),
+        ow(("b", Ordinal.from_int(2))), ow(("b", ONE)), OrdWord(())],
+    ow(("a", add(OMEGA, ONE))): [ow(("a", add(OMEGA, ONE))), ow(("a", ONE)),
+                                 OrdWord(())],
+    ow(("a", Ordinal.from_int(2)), ("b", OMEGA)): [
+        ow(("a", Ordinal.from_int(2)), ("b", OMEGA)),
+        ow(("a", ONE), ("b", OMEGA)), ow(("b", OMEGA)), OrdWord(())],
+}
+A_FINITE = CarrierOpen(OrdProduct((Power(DownClosure((Atom("a"),)), OMEGA),)))
+
+
+def _structured_word_opens(points):
+    """Opens of a word space to ask PrefixConcat and UpSubstructure about:
+    up-closed, not up-closed, and closed-as-open."""
+    return [Whole(), Empty(), WordOpen((UA,)), WordOpen((UB, UA)),
+            UpClosure(points), PrefixConcat(UB, Whole()),
+            PrefixConcat(UA, WordOpen((UB,))), A_FINITE,
+            Triangle(ONE, WordOpen((UA,)))]
+
+
+WORD_CASES = {
+    "words": (WAB, list(enumerate_points(WAB, 4)),
+              _structured_word_opens((w("ab"), w("bb")))),
+    "ordwords": (OWAB, list(enumerate_points(OWAB, 4)) + list(OMEGA_SUFFIXES),
+                 _structured_word_opens((ow(("a", OMEGA)),
+                                         ow(("b", Ordinal.from_int(2)))))),
+}
+
+
+def _word_suffixes(p):
+    if isinstance(p, Word):
+        return word_suffixes(p)
+    if p in OMEGA_SUFFIXES:
+        return OMEGA_SUFFIXES[p]
+    return [ord_word((x, ONE) for x in s.letters)
+            for s in word_suffixes(ord_to_word(p))]
+
+
+def _tail(p):
+    return Word(p.letters[1:]) if isinstance(p, Word) else drop_first(p)
+
+
+def _leaf(space, name):
+    return (TreeNode(Atom(name), ()) if isinstance(space, Trees)
+            else OrdTreeNode(Atom(name), OrdWord(())))
+
+
+class TestStructuredMembership:
+    """Membership of the constructors that read a word as a first letter
+    and a tail, or as its suffixes, and a tree as its subtrees, against
+    their definitions, on ordinal words with infinite runs too."""
+
+    @pytest.mark.parametrize("case", sorted(WORD_CASES))
+    def test_prefix_concat_matches_definition(self, case):
+        space, points, opens = WORD_CASES[case]
+        for letters, rest in itertools.product([UA, UB, Whole()], opens):
+            expr = PrefixConcat(letters, rest)
+            for p in points:
+                first = p.letters[:1] if isinstance(p, Word) else [
+                    x for x, _ in p.segments[:1]]
+                want = bool(first) and member_open(AB, first[0], letters) \
+                    and member_open(space, _tail(p), rest)
+                assert member_open(space, p, expr) == want, (expr, p)
+
+    def test_one_letter_off_an_omega_run(self):
+        a_omega = ow(("a", OMEGA))
+        assert drop_first(a_omega) == a_omega
+        assert member_open(OWAB, a_omega,
+                           PrefixConcat(UA, UpClosure((a_omega,))))
+        assert not member_open(OWAB, a_omega, PrefixConcat(UA, A_FINITE))
+        assert member_open(OWAB, ow(("a", add(OMEGA, ONE))),
+                           PrefixConcat(UA, UpClosure((a_omega,))))
+
+    @pytest.mark.parametrize("case", sorted(WORD_CASES))
+    def test_up_substructure_matches_definition(self, case):
+        space, points, opens = WORD_CASES[case]
+        for inner in opens:
+            expr = UpSubstructure(inner)
+            for p in points:
+                want = any(member_open(space, s, inner)
+                           for s in _word_suffixes(p))
+                assert member_open(space, p, expr) == want, (inner, p)
+
+    @pytest.mark.parametrize("space", [Trees(AB), OTAB],
+                             ids=["trees", "ordtrees"])
+    def test_tree_open_matches_definition(self, space):
+        leaf_a, leaf_b = _leaf(space, "a"), _leaf(space, "b")
+        if isinstance(space, Trees):
+            kids = Word((leaf_a, leaf_a))
+            extra = [TreeNode(Atom("a"), (TreeNode(Atom("b"), (leaf_a,)),
+                                          leaf_b))]
+        else:
+            kids = OrdWord(((leaf_a, OMEGA),))
+            b_omega = OrdTreeNode(Atom("b"), OrdWord(((leaf_a, OMEGA),)))
+            extra = [OrdTreeNode(Atom("a"), OrdWord(((leaf_b, OMEGA),))),
+                     OrdTreeNode(Atom("a"), OrdWord(((leaf_b, ONE),
+                                                     (b_omega, ONE))))]
+        has_a, has_b = TreeOpen(UA, Whole()), TreeOpen(UB, Whole())
+        children = [Whole(), Empty(), WordOpen((has_b,)),
+                    WordOpen((has_a, has_a)), PrefixConcat(has_b, Whole()),
+                    UpClosure((kids,))]
+        points = list(enumerate_points(space, 4)) + extra
+        for root, kid in itertools.product([UA, UB, Whole()], children):
+            expr = TreeOpen(root, kid)
+            for p in points:
+                assert member_open(space, p, expr) == tree_open_def(
+                    space, p, root, kid), (expr, p)
+
+
+PRODUCT_ATOMS = st.one_of(LETTER_CLOSEDS.map(AtMostOne),
+                          st.builds(Power, LETTER_CLOSEDS, BETAS))
+OWW2 = OrdWords(AB, parse_ordinal("w^2"))
+OMEGA_RUNS = st.lists(
+    st.tuples(ATOMS, st.sampled_from([ONE, Ordinal.from_int(2), OMEGA,
+                                      add(OMEGA, ONE), parse_ordinal("w*2")])),
+    max_size=3).map(ord_word)
+
+
+class TestAtMostOneIsPowerTwo:
+    """(amo c) is c^{<2}: the two atoms give one membership, alone and
+    among other atoms, on words and on ordinal words with infinite runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed=LETTER_CLOSEDS, before=st.lists(PRODUCT_ATOMS, max_size=2),
+           after=st.lists(PRODUCT_ATOMS, max_size=2),
+           word=st.text("ab", max_size=5).map(w), runs=OMEGA_RUNS)
+    def test_same_membership(self, closed, before, after, word, runs):
+        amo, pow2 = AtMostOne(closed), Power(closed, Ordinal.from_int(2))
+        for space, p in [(WAB, word), (OWW2, runs)]:
+            for left, right in [((), ()), (tuple(before), tuple(after))]:
+                assert member_closed(space, p, OrdProduct(
+                    left + (amo,) + right)) == member_closed(
+                    space, p, OrdProduct(left + (pow2,) + right)), (p, left,
+                                                                    right)
 
 
 class TestConstructorRules:

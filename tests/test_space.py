@@ -22,6 +22,7 @@ from noethkit.space import (
     Product,
     InL,
     InR,
+    SpaceError,
     SpaceExpr,
     Sum,
     TreeNode,
@@ -290,6 +291,13 @@ class TestFiniteQO:
             finite_qo("ab", []).__class__(("a", "b"),
                                           frozenset([("a", "a"), ("b", "b"),
                                                      ("a", "b"), ("b", "a")]) - {("a", "a")})
+
+    def test_validation_names_a_transitivity_triple(self):
+        # Reflexive, so the transitivity check is the one that fails.
+        with pytest.raises(SpaceError,
+                           match="not transitive: 'a' 'b' 'c'"):
+            FiniteQO(("a", "b", "c"), frozenset(
+                [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")]))
 
     def test_chain_order(self):
         c = chain("a", "b", "c")
