@@ -14,7 +14,8 @@ an extent rule faster than the default filter by membership.  The closed
 twins of Empty, Whole, Union and Intersect take their membership rules, so
 open and closed membership are one recursion.  Adding a constructor takes
 its class with these rules, its place in `OpenExpr` or `ClosedExpr`, and
-one `sexpr` grammar row.
+one `sexpr` grammar row.  Word and tree points are read only through the
+rules of their space (see `space`), never by their point class.
 
 Membership is structural recursion, exact except for ConcatUp on ordinal
 words with infinite runs (see space.ow_cut_pairs).  The point it is asked
@@ -40,13 +41,11 @@ from typing import (Dict, Iterable, List, Optional, Tuple, Union as TUnion,
                     get_args)
 
 from .ordinal import (ONE, ZERO, Ordinal, add, classify, cmp,
-                      left_subtract, limit_finite_split, minimal_left,
-                      right_parts)
+                      limit_finite_split, minimal_left, right_parts)
 from .space import (
     Atom,
     FiniteQO,
     InL,
-    OrdTreeNode,
     OrdTrees,
     OrdWord,
     OrdWords,
@@ -55,7 +54,6 @@ from .space import (
     SpaceError,
     SpaceExpr,
     Sum,
-    TreeNode,
     Trees,
     Word,
     Words,
@@ -67,13 +65,9 @@ from .space import (
     key_rows,
     minimize_basis,
     ord_to_word,
-    ord_word,
-    ow_cut_pairs,
-    ow_higman_leq,
     ow_suffix_from,
     ow_suffixes_strictly_after,
     point_leq,
-    word_to_ord,
 )
 
 
@@ -280,12 +274,7 @@ class WordOpen(_Set):
     def member(self, space, p) -> bool:
         base = _word_space_base(space)
         fits = lambda part, letter: part.member(base, letter)
-        if isinstance(p, Word):
-            return higman_leq(self.parts, p.letters, fits)
-        if isinstance(p, OrdWord):
-            return ow_higman_leq(tuple((part, ONE) for part in self.parts),
-                                 p.segments, fits)
-        raise SetError("not a word point: %r" % (p,))
+        return space.pattern_leq(self.parts, p, fits)
 
     def mask(self, oracle) -> int:
         if len(self.parts) > 1 and isinstance(oracle.space, (Words, OrdWords)):
@@ -310,15 +299,11 @@ class ConcatUp(_Set):
     right: OpenExpr
 
     def member(self, space, p) -> bool:
-        if isinstance(p, Word):
-            return any(self.left.member(space, Word(p.letters[:i]))
-                       and self.right.member(space, Word(p.letters[i:]))
-                       for i in range(len(p.letters) + 1))
-        if isinstance(p, OrdWord):
-            return any(self.left.member(space, prefix)
-                       and self.right.member(space, suffix)
-                       for prefix, suffix in ow_cut_pairs(p))
-        raise SetError("not a word point: %r" % (p,))
+        if not isinstance(space, (Words, OrdWords)):
+            raise SetError("not a word point: %r" % (p,))
+        return any(self.left.member(space, prefix)
+                   and self.right.member(space, suffix)
+                   for prefix, suffix in space.splits(p))
 
     def mask(self, oracle) -> int:
         if not isinstance(oracle.space, (Words, OrdWords)):
@@ -328,9 +313,9 @@ class ConcatUp(_Set):
         # Concatenation is monotone, so gluing the minimal elements of each
         # side suffices.
         right = oracle._minimals(oracle.mask(self.right))
+        left = oracle._minimals(oracle.mask(self.left))
         return oracle._up_of(oracle.mask_of(
-            oracle._glue(u, v) for u in oracle._minimals(oracle.mask(self.left))
-            for v in right))
+            oracle.space.glue(u, v) for u in left for v in right))
 
     def normal(self):
         if isinstance(self.left, Whole):
@@ -352,15 +337,15 @@ class TreeOpen(_Set):
     normal = _no_rewrite
 
     def member(self, space, p) -> bool:
-        if isinstance(space, Trees) and isinstance(p, TreeNode):
-            kids_space, kids = Words(space), lambda t: Word(t.children)
-        elif isinstance(space, OrdTrees) and isinstance(p, OrdTreeNode):
-            kids_space, kids = OrdWords(space, space.alpha), lambda t: t.children
+        if isinstance(space, Trees):
+            kids_space = Words(space)
+        elif isinstance(space, OrdTrees):
+            kids_space = OrdWords(space, space.alpha)
         else:
             raise SetError("TreeOpen needs a tree point")
         return any(self.root_open.member(space.base, sub.label)
-                   and self.children_open.member(kids_space, kids(sub))
-                   for sub in _substructures(space, p))
+                   and self.children_open.member(kids_space, space.forest(sub))
+                   for sub in space.substructures(p))
 
 
 @dataclass(frozen=True)
@@ -378,9 +363,9 @@ class Triangle(_Set):
 
     def _suffixes(self, space, p):
         """The suffixes of p past every position < beta, as points."""
-        word = _as_ord_word(space, p)[1]
-        return (_word_point(space, s)
-                for s in ow_suffixes_strictly_after(word, self.beta))
+        _word_space_base(space)  # a word space, or the domain error
+        return map(space.point,
+                   ow_suffixes_strictly_after(space.runs(p), self.beta))
 
     def mask(self, oracle) -> int:
         if not isinstance(oracle.space, (Words, OrdWords)):
@@ -413,11 +398,10 @@ class RTimes(_Set):
         # guard is downward closed (true for every constructed instance):
         # the run-initial suffixes then dominate all in-run choices of the
         # position.
-        base, word = _as_ord_word(space, p)
+        base, word = _word_space_base(space), space.runs(p)
         return any(
             not self.closed.member(base, letter)
-            and self.inner.member(space,
-                                  _word_point(space, ow_suffix_from(word, i)))
+            and self.inner.member(space, space.point(ow_suffix_from(word, i)))
             for i, (letter, _) in enumerate(word.segments))
 
     def normal(self):
@@ -434,17 +418,10 @@ class PrefixConcat(_Set):
     normal = _no_rewrite
 
     def member(self, space, p) -> bool:
-        base, word = _as_ord_word(space, p)
-        if not word.segments:
-            return False
-        letter, count = word.segments[0]
-        if not self.letters.member(base, letter):
-            return False
-        rest_count = left_subtract(ONE, count)
-        rest = OrdWord(
-            ((() if rest_count.is_zero() else ((letter, rest_count),))
-             + word.segments[1:]))
-        return self.rest.member(space, _word_point(space, rest))
+        base = _word_space_base(space)
+        step = space.uncons(p)
+        return (step is not None and self.letters.member(base, step[0])
+                and self.rest.member(space, step[1]))
 
     def mask(self, oracle) -> int:
         if not (isinstance(self.letters, BaseOpen)
@@ -465,8 +442,9 @@ class UpSubstructure(_Set):
     inner: OpenExpr
 
     def member(self, space, p) -> bool:
-        return any(self.inner.member(space, s)
-                   for s in _substructures(space, p))
+        if not hasattr(space, "substructures"):
+            raise SetError("no substructure order on %r" % (p,))
+        return any(self.inner.member(space, s) for s in space.substructures(p))
 
     def normal(self):
         return Whole() if isinstance(self.inner, Whole) else self
@@ -536,6 +514,7 @@ class AtMostOne(_Set):
     """F^{<=1}: words of at most one letter, the letter drawn from F."""
 
     closed: ClosedExpr
+    beta = Ordinal.from_int(2)  # the product match reads it as F^{<2}
 
 
 @dataclass(frozen=True)
@@ -560,8 +539,8 @@ class OrdProduct(_ClosedSet):
     atoms: Tuple[ProductAtom, ...]
 
     def member(self, space, p) -> bool:
-        base, word = _as_ord_word(space, p)
-        return _match_product(base, self.atoms, word)
+        return _match_product(_word_space_base(space), self.atoms,
+                              space.runs(p))
 
 
 ClosedExpr = TUnion[EmptyC, WholeC, UnionC, IntersectC, DownClosure,
@@ -597,53 +576,13 @@ def _word_space_base(space):
     raise SetError("word operation over non-word space %r" % (space,))
 
 
-def _as_ord_word(space, p):
-    base = _word_space_base(space)
-    if isinstance(p, Word):
-        return base, word_to_ord(p)
-    if isinstance(p, OrdWord):
-        return base, p
-    raise SetError("not a word point: %r" % (p,))
-
-
-def _word_point(space, word: OrdWord) -> PointTerm:
-    """An ordinal word of finite runs as a point of the word space."""
-    if isinstance(space, Words):
-        return ord_to_word(word)
-    return word
-
-
-def _substructures(space, p):
-    """Suffixes of a word point / subtrees of a tree point, point included."""
-    if isinstance(p, Word):
-        return tuple(Word(p.letters[i:]) for i in range(len(p.letters) + 1))
-    if isinstance(p, OrdWord):
-        out = [OrdWord(p.segments[i:]) for i in range(len(p.segments) + 1)]
-        for i, (letter, count) in enumerate(p.segments):
-            out.extend(OrdWord(((letter, rem),) + p.segments[i + 1:])
-                       for rem in right_parts(count)
-                       if not rem.is_zero() and rem != count)
-        return tuple(dict.fromkeys(out))
-    if isinstance(p, TreeNode):
-        out = [p]
-        for c in p.children:
-            out.extend(_substructures(space, c))
-        return tuple(out)
-    if isinstance(p, OrdTreeNode):
-        out = [p]
-        for c, _ in p.children.segments:
-            out.extend(_substructures(space, c))
-        return tuple(out)
-    raise SetError("no substructure order on %r" % (p,))
-
-
 def _match_product(base, atoms, word: OrdWord) -> bool:
     """Split search: can `word` be written as consecutive chunks matching the
-    atom list, with ordinal length bounds per Power atom?"""
+    atom list, with an ordinal length bound `beta` per atom?"""
     segments = word.segments
 
-    def seg_state(i):
-        return (i, segments[i][1]) if i < len(segments) else (i, ZERO)
+    def count(i):
+        return segments[i][1] if i < len(segments) else ZERO
 
     seen = set()
 
@@ -654,26 +593,12 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
         seen.add(key)
         if ai == len(atoms):
             return si == len(segments)
-        atom = atoms[ai]
-        if isinstance(atom, AtMostOne):
-            if match(ai + 1, si, remaining):
-                return True
-            if si < len(segments):
-                letter = segments[si][0]
-                if atom.closed.member(base, letter):
-                    rest = left_subtract(ONE, remaining)
-                    if rest.is_zero():
-                        nsi, nrem = seg_state(si + 1)
-                    else:
-                        nsi, nrem = si, rest
-                    return match(ai + 1, nsi, nrem)
-            return False
-        if isinstance(atom, Power):
-            return consume(atom, ai, si, remaining, ZERO)
-        raise SetError("unknown product atom %r" % (atom,))
+        return consume(atoms[ai], ai, si, remaining, ZERO)
 
-    def consume(atom: Power, ai, si, remaining, used: Ordinal) -> bool:
-        if cmp(used, atom.beta) < 0 and match(ai + 1, si, remaining):
+    def consume(atom: ProductAtom, ai, si, remaining, used: Ordinal) -> bool:
+        if cmp(used, atom.beta) >= 0:
+            return False  # the atom is full; taking more keeps it full
+        if match(ai + 1, si, remaining):
             return True
         if si >= len(segments):
             return False
@@ -685,8 +610,7 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
         # the least possible amount for its leftover; taking more can only
         # hurt the length bound, and two partial takes of one run compose
         # into a single one.
-        if consume(atom, ai, si + 1, seg_state(si + 1)[1],
-                   add(used, remaining)):
+        if consume(atom, ai, si + 1, count(si + 1), add(used, remaining)):
             return True
         for rem in right_parts(remaining):
             if rem == remaining or rem.is_zero():
@@ -696,8 +620,7 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
                 return True
         return False
 
-    si0, rem0 = seg_state(0)
-    return match(0, si0, rem0)
+    return match(0, 0, count(0))
 
 
 # -- normalization and canonical form ----------------------------------------
@@ -810,11 +733,6 @@ class ExtentOracle:
         up = self._ups(mask)
         return reduce(or_, (up[i] for i in _bits(mask)), 0)
 
-    def _glue(self, u: PointTerm, v: PointTerm) -> PointTerm:
-        if isinstance(u, Word):
-            return Word(u.letters + v.letters)
-        return ord_word(u.segments + v.segments)
-
     def _minimals(self, mask: int) -> Tuple[PointTerm, ...]:
         """The minimal points of a mask, one per equivalence class (the
         first in enumeration order)."""
@@ -907,7 +825,7 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
         bound = default_bound()
     try:
         oracle = oracle_for(space, bound)
-    except Exception:
+    except SpaceError:  # a universe past space.MAX_UNIVERSE
         return IncludesResult(None, "no-extent-oracle")
     witness = _least_outside(oracle, a, b)
     if witness is not None:
@@ -1017,10 +935,9 @@ def closure_point(space: SpaceExpr, p: PointTerm) -> ClosedExpr:
     defined for finite-length words; elsewhere it is the down-closure."""
     _require_point(space, p)
     if isinstance(space, (Words, OrdWords)):
-        if isinstance(p, OrdWord):
-            p = ord_to_word(p)
+        letters = ord_to_word(space.runs(p)).letters
         return OrdProduct(tuple(AtMostOne(DownClosure((letter,)))
-                                for letter in p.letters))
+                                for letter in letters))
     return DownClosure((p,))
 
 
@@ -1134,9 +1051,6 @@ def complement_ordinal_product(space: SpaceExpr, p: OrdProduct) -> OpenExpr:
             return Empty()
     steps = []
     for atom in p.atoms:
-        if isinstance(atom, AtMostOne):
-            steps.append((atom.closed, ONE))
-            continue
         limit, k = limit_finite_split(atom.beta)
         if limit.is_zero():
             steps.extend([(atom.closed, ONE)] * (k - 1))

@@ -13,8 +13,15 @@ list of (letter, ordinal count) runs with distinct adjacent letters.
 Each space class holds its rules `typecheck(p)`, `order(x, y)` (on points
 that typecheck) and `enumerate(bound)`, and each point class `size()`; the
 order and enumeration rules recurse through the memos `_leq` and
-`_enumerate`.  Adding a space takes its class with these rules, its place
-in `SpaceExpr`, and one `sexpr` grammar row.
+`_enumerate`.  Word and tree spaces also hold the layout of their points,
+which the set layer reads: on words `uncons` (the first letter and the
+rest, None when empty), `splits` (the pairs u, v with uv = p),
+`substructures` (the suffixes), `glue`, `pattern_leq` (the Higman match of
+a pattern, an item fitting a letter when `fits(item, letter)`) and
+`runs`/`point` (to runs of letters and back); on trees `substructures`
+(the subtrees) and `forest` (a node's children as a word of the children
+space).  Adding a space takes its class with these rules, its place in
+`SpaceExpr`, and one `sexpr` grammar row.
 """
 
 from __future__ import annotations
@@ -64,9 +71,10 @@ class FiniteQO:
         for x in self.elements:
             if (x, x) not in self.leq:
                 raise SpaceError("relation is not reflexive at %r" % x)
-        for (x, y), (y2, z) in itertools.product(self.leq, repeat=2):
-            if y == y2 and (x, z) not in self.leq:
-                raise SpaceError("relation is not transitive: %r %r %r" % (x, y, z))
+        if transitive_closure(self.leq) != self.leq:
+            raise SpaceError("relation is not transitive: %r %r %r" % min(
+                (x, y, z) for x, y in self.leq for z in self.elements
+                if (y, z) in self.leq and (x, z) not in self.leq))
         # Discrete: leq holds the reflexive pairs only.
         object.__setattr__(self, "is_discrete", len(self.leq) == len(elems))
 
@@ -208,6 +216,29 @@ class Words:
                     _check_universe(len(words))
         return tuple(Word(prefix) for prefix, _ in words)
 
+    # The word rules (see the module docstring), on points that typecheck.
+    def uncons(self, p):
+        return (p.letters[0], Word(p.letters[1:])) if p.letters else None
+
+    def splits(self, p):
+        cuts = range(len(p.letters) + 1)
+        return ((Word(p.letters[:i]), Word(p.letters[i:])) for i in cuts)
+
+    def substructures(self, p):
+        return tuple(Word(p.letters[i:]) for i in range(len(p.letters) + 1))
+
+    def glue(self, u, v):
+        return Word(u.letters + v.letters)
+
+    def pattern_leq(self, pattern, p, fits) -> bool:
+        return higman_leq(pattern, p.letters, fits)
+
+    def runs(self, p):
+        return word_to_ord(p)
+
+    def point(self, runs):
+        return ord_to_word(runs)
+
 
 @dataclass(frozen=True)
 class Trees:
@@ -229,6 +260,16 @@ class Trees:
 
     def enumerate(self, bound: int):
         return _enumerate_trees(self, bound, runs=False)
+
+    # The tree rules (see the module docstring), on points that typecheck.
+    def substructures(self, t):
+        out = [t]
+        for node in out:  # breadth-first: the loop reads the list it extends
+            out.extend(node.children)
+        return tuple(out)
+
+    def forest(self, t):
+        return Word(t.children)  # a point of Words(self)
 
 
 @dataclass(frozen=True)
@@ -262,6 +303,33 @@ class OrdWords:
         words = (OrdWord(prefix) for prefix, _, _ in runs)
         return tuple(p for p in words if self.typecheck(p))
 
+    # The word rules of Words, over runs.
+    def uncons(self, p):
+        if not p.segments:
+            return None
+        (letter, count), rest = p.segments[0], p.segments[1:]
+        # The rest of the run is c' with 1 + c' = c: c itself if infinite.
+        return letter, ord_word(((letter, left_subtract(ONE, count)),) + rest)
+
+    def splits(self, p):
+        return ow_cut_pairs(p)
+
+    def substructures(self, p):
+        return tuple(dict.fromkeys(suffix for _, suffix in self.splits(p)))
+
+    def glue(self, u, v):
+        return ord_word(u.segments + v.segments)
+
+    def pattern_leq(self, pattern, p, fits) -> bool:
+        # Each item of the pattern is a run of one.
+        return ow_higman_leq(tuple((item, ONE) for item in pattern),
+                             p.segments, fits)
+
+    def runs(self, p):
+        return p
+
+    point = runs  # an ordinal word is its own run view
+
 
 @dataclass(frozen=True)
 class OrdTrees:
@@ -287,6 +355,16 @@ class OrdTrees:
 
     def enumerate(self, bound: int):
         return _enumerate_trees(self, bound, runs=True)
+
+    # The tree rules of Trees, reading each run of children once.
+    def substructures(self, t):
+        out = [t]
+        for node in out:
+            out.extend(c for c, _ in node.children.segments)
+        return tuple(out)
+
+    def forest(self, t):
+        return t.children  # a point of OrdWords(self, self.alpha)
 
 
 SpaceExpr = Union[FiniteQO, Nat, Sum, Product, Words, Trees, OrdWords, OrdTrees]

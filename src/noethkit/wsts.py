@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import eq
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .sets import UpClosure, find_good_index
@@ -30,6 +31,7 @@ from .space import (
     Words,
     canonical_key,
     discrete,
+    higman_leq,
     minimize_basis,
     point_leq,
 )
@@ -195,6 +197,7 @@ class LossyChannelSystem:
                  rules: Sequence[ChannelRule]):
         self.locations = tuple(locations)
         self.alphabet = tuple(alphabet)
+        self.letters = frozenset(self.alphabet)
         for rule in rules:
             if rule.src not in self.locations or rule.dst not in self.locations:
                 raise WstsError("rule mentions unknown location")
@@ -215,11 +218,14 @@ class LossyChannelSystem:
         return Pair(Atom(loc), Word(tuple(Atom(c) for c in word)))
 
     def leq(self, s, t) -> bool:
+        # The order of state_to_point, Higman's over a discrete alphabet; a
+        # letter outside the alphabet is left to point_leq's domain error.
         if s[0] != t[0]:
             return False
-        return point_leq(Words(discrete(*self.alphabet)),
-                         Word(tuple(Atom(c) for c in s[1])),
-                         Word(tuple(Atom(c) for c in t[1])))
+        if self.letters.issuperset(s[1]) and self.letters.issuperset(t[1]):
+            return higman_leq(s[1], t[1], eq)
+        return point_leq(self.state_space().right,
+                         *(Word(tuple(map(Atom, c))) for c in (s[1], t[1])))
 
     def successors(self, state) -> Iterable:
         """One step, with sends blocked once the channel holds six letters."""
@@ -332,7 +338,7 @@ def backward_coverability(system, init, targets,
 
 def _basis_open(system, basis) -> UpClosure:
     # The basis is already a system.leq antichain, and for the built-in
-    # families system.leq is point_leq on state_to_point, so the sorted
+    # families system.leq is the point order on state_to_point, so the sorted
     # points are the minimized basis of the open.
     return UpClosure(tuple(sorted((system.state_to_point(b) for b in basis),
                                   key=canonical_key)))

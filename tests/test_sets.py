@@ -1,12 +1,15 @@
+import ast
 import itertools
 import random
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import noethkit.sets
 from noethkit.ordinal import OMEGA, ONE, Ordinal, add, parse_ordinal
 from noethkit.sets import (
     AtMostOne,
@@ -1179,6 +1182,8 @@ def _structured_word_opens(points):
     return [Whole(), Empty(), WordOpen((UA,)), WordOpen((UB, UA)),
             UpClosure(points), PrefixConcat(UB, Whole()),
             PrefixConcat(UA, WordOpen((UB,))), A_FINITE,
+            PrefixConcat(UA, A_FINITE),
+            PrefixConcat(UA, PrefixConcat(UB, Whole())),
             Triangle(ONE, WordOpen((UA,)))]
 
 
@@ -1313,6 +1318,22 @@ class TestConstructorRules:
                     if many is not None} == {
                 f.name for f in fields(cls) if "OpenExpr" in f.type}
         assert cls in {row[0] for row in _SETS.values()}
+
+
+def test_point_layout_is_read_through_the_space():
+    """The layout of word and tree points lives in their space classes in
+    space.py: sets.py tests no point class of theirs with isinstance."""
+    point_classes = {"Word", "OrdWord", "TreeNode", "OrdTreeNode"}
+    tree = ast.parse(Path(noethkit.sets.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            for part in ast.walk(node.args[1]):
+                name = getattr(part, "id", None) or getattr(part, "attr", None)
+                if name in point_classes:
+                    found.append((node.lineno, name))
+    assert not found
 
 
 class TestClosureMaskCost:

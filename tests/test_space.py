@@ -316,7 +316,24 @@ class TestConstructorRules:
         # (fin ...), (qo ...) and nat are read and printed by hand.
         assert cls in {row[0] for row in _SPACES.values()} | {FiniteQO, Nat}
 
+    @pytest.mark.parametrize("cls", get_args(SpaceExpr),
+                             ids=lambda cls: cls.__name__)
+    def test_structured_space_rules(self, cls):
+        # The set layer reads word and tree points only through these.
+        rules = set(vars(cls))
+        if cls in (Words, OrdWords):
+            assert WORD_RULES <= rules
+        elif cls in (Trees, OrdTrees):
+            assert TREE_RULES <= rules
+        else:  # a class with some of them is a word or tree space
+            assert not (WORD_RULES | TREE_RULES) & rules
+
     @pytest.mark.parametrize("cls", get_args(PointTerm),
                              ids=lambda cls: cls.__name__)
     def test_point_size(self, cls):
         assert "size" in vars(cls)
+
+
+WORD_RULES = {"uncons", "splits", "substructures", "glue", "pattern_leq",
+              "runs", "point"}
+TREE_RULES = {"substructures", "forest"}

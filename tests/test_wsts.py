@@ -205,6 +205,18 @@ class TestLossyChannel:
         result = backward_coverability(sys, ("q0", ("x",)), [("q0", ("x",))])
         assert result.verdict == "coverable"
 
+    def test_channel_letter_outside_the_alphabet(self):
+        # The order of the channels is point_leq's, domain error included.
+        sys = self.make_system()
+        assert sys.leq(("q0", ("x",)), ("q0", ("y", "x")))
+        assert not sys.leq(("q0", ("x", "x")), ("q0", ("y", "x")))
+        with pytest.raises(space_mod.SpaceError, match=(
+                r"point Word\(letters=\(Atom\(name='z'\),\)\) does not "
+                r"typecheck in Words")):
+            sys.leq(("q0", ()), ("q0", ("z",)))
+        with pytest.raises(space_mod.SpaceError, match="name='z'"):
+            backward_coverability(sys, ("q0", ("z",)), [("q0", ("x",))])
+
 
 class TestJsonRoundTrip:
     def test_vas_document(self):
