@@ -1,19 +1,25 @@
-"""Byte-identity of the CLI JSON on fixed commands.
+"""Byte-identity of the CLI JSON on fixed commands, and of the cut rules
+of ordinal words.
 
-Each digest is the SHA-256 of the whole stdout of `cli.main`, recorded
+Each CLI digest is the SHA-256 of the whole stdout of `cli.main`, recorded
 before the grammar tables replaced the hand-written printers and keys; the
 divisibility rows, before the functor rules moved into their classes.  A
 change to any printed form, to the point or set sort order, or to an
-extent hash shows up here.
+extent hash shows up here.  The cut digests are described at their table.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 
 import pytest
 
 from noethkit.cli import main
+from noethkit.ordinal import parse_ordinal
+from noethkit.sets import member_closed
+from noethkit.sexpr import parse_point, parse_set, parse_space, print_point
+from noethkit.space import enumerate_points, ow_suffixes_strictly_after
 
 # The word shape 1 + S*X over a two-letter chain, and the tree shape
 # S*List(X) over two discrete labels.
@@ -59,3 +65,70 @@ def test_cli_json_is_byte_identical(argv, digest):
         code = main(argv)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# -- the cut rules of ordinal words -------------------------------------------
+#
+# Digests recorded before every rule that cuts a run a^b into a^c . a^r read
+# one list of cuts: the pairs of `OrdWords.splits` in order, the suffixes of
+# `OrdWords.substructures` as a set, the suffixes of
+# `ow_suffixes_strictly_after` in order, and `member_closed` of ordinal
+# products.  The points are every point of (ordwords (fin a b) w*2) at bound
+# 7 and words with infinite runs, the last three with several CNF terms in
+# one run.
+
+OW3 = parse_space("(ordwords (fin a b) w^3)")
+RUN_POINTS = [parse_point(text) for text in (
+    "(ordword (a w))", "(ordword (b 1) (a w))", "(ordword (a w) (b 2))",
+    "(ordword (a w+1))", "(ordword (a 2) (b w))", "(ordword (a w*2+1))",
+    "(ordword (a w^2+w*2+3) (b w))", "(ordword (b 2) (a w^2*2+1))")]
+CUT_POINTS = list(enumerate_points(parse_space("(ordwords (fin a b) w*2)"),
+                                   7)) + RUN_POINTS
+BETAS = [parse_ordinal(t) for t in ("1", "2", "w", "w+1", "w*2")]
+PRODUCT_ATOMS = ["(pow (down a) w)", "(pow (down a) w+1)",
+                 "(pow (down a) w^2+w*2+1)", "(pow (wholec) 2)",
+                 "(pow (wholec) w*2)", "(pow (wholec) w^2*2)",
+                 "(pow (down b) w+1)", "(amo (down b))"]
+PRODUCTS = ["(ordprod)"] + ["(ordprod %s)" % a for a in PRODUCT_ATOMS] + [
+    "(ordprod %s %s)" % pair for pair in itertools.product(PRODUCT_ATOMS,
+                                                          repeat=2)]
+
+
+def _splits(p):
+    return " ".join("%s|%s" % (print_point(u), print_point(v))
+                    for u, v in OW3.splits(p))
+
+
+def _substructures(p):
+    return " ".join(sorted({print_point(s) for s in OW3.substructures(p)}))
+
+
+def _suffixes_after(p):
+    return " / ".join(" ".join(map(print_point,
+                                   ow_suffixes_strictly_after(p, beta)))
+                      for beta in BETAS)
+
+
+def _products(p):
+    return "".join("01"[member_closed(OW3, p, parse_set(text))]
+                   for text in PRODUCTS)
+
+
+CUT_GOLDEN = [
+    (_splits,
+     "3e4326fe97c3e455a958b6da315cbde219ab2558ae8c86ef5b0c6f885cc95e6c"),
+    (_substructures,
+     "b02fa534f0246e0ec57d665033ea10c320b6fbe617765213111b118461659005"),
+    (_suffixes_after,
+     "850a2520e352ad508fe06ec4e7103680e6f2be2a1bb391935c5096a6a9357d69"),
+    (_products,
+     "e099ab0edc081fa1395cae7993cf4a054136e772f25d2dabd751d6c68aecac72"),
+]
+
+
+@pytest.mark.parametrize("rule, digest", CUT_GOLDEN,
+                         ids=[rule.__name__[1:] for rule, _ in CUT_GOLDEN])
+def test_cut_rules_are_unchanged(rule, digest):
+    assert len(CUT_POINTS) == 263
+    lines = ("%s: %s" % (print_point(p), rule(p)) for p in CUT_POINTS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
