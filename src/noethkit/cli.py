@@ -33,7 +33,7 @@ from .sexpr import (
     print_point,
     print_set,
 )
-from .space import SpaceError, discrete, point_leq
+from .space import SpaceError, point_leq
 
 
 class DomainError(ValueError):
@@ -67,7 +67,7 @@ EXPANDERS = {
 
 
 def _expander(args):
-    base = discrete(*args.alphabet.split())
+    base = parse_space("(fin %s)" % args.alphabet)
     return EXPANDERS[args.expander](base, args.alpha)
 
 

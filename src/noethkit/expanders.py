@@ -293,10 +293,6 @@ class IterationResult:
     fixed_point_at: Optional[int]
     bound: int
 
-    @property
-    def capped(self) -> bool:
-        return any(s.capped for s in self.stages)
-
 
 def iterate(expander, steps: int, bound: int,
             cap: int = DEFAULT_CAP) -> IterationResult:

@@ -8,6 +8,9 @@ Besides the usual operations (comparison, sum, natural sum) this module
 provides the cut/remainder combinatorics used by ordinal-length words:
 given a run of length b, the distinct lengths that can remain after
 removing a prefix form a small finite set, computable from the CNF of b.
+`run_cuts(b)` lists them once, each with its least left part; every rule
+that cuts a run (`right_parts`, `minimal_left`, `cut_tails`, the splits
+and suffixes of ordinal words, the takes of ordinal products) reads it.
 """
 
 from __future__ import annotations
@@ -199,35 +202,33 @@ def limit_finite_split(a: Ordinal) -> Tuple[Ordinal, int]:
     return a, 0
 
 
+def run_cuts(b: Ordinal) -> Tuple[Tuple[Ordinal, Ordinal], ...]:
+    """The cuts of a run of length b: one pair (c, r) with c + r = b per
+    distinct remainder r, c the least such left part, in strictly
+    decreasing order of r from (0, b) to (b, 0).  Cutting inside term i of
+    b's normal form leaves k < coeff copies of that power and the later
+    terms, so every pair is read off the terms."""
+    cuts = [(ZERO, b)]
+    for i, (exp, coeff) in enumerate(b.terms):
+        head, tail = b.terms[:i], b.terms[i + 1:]
+        cuts.extend((Ordinal(head + ((exp, coeff - k),)),
+                     Ordinal(((exp, k),) + tail))
+                    for k in range(coeff - 1, 0, -1))
+        cuts.append((Ordinal(head + ((exp, coeff),)), Ordinal(tail)))
+    return tuple(cuts)
+
+
 def right_parts(b: Ordinal) -> Tuple[Ordinal, ...]:
     """All r such that c + r = b for some c (the possible suffix lengths
     after splitting a run of length b), in strictly decreasing order."""
-    parts = [b]
-    for i, (exp, coeff) in enumerate(b.terms):
-        tail = b.terms[i + 1:]
-        for c in range(coeff - 1, -1, -1):
-            parts.append(Ordinal(((exp, c),) + tail if c else tail))
-    seen = set()
-    out = []
-    for p in parts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return tuple(out)
+    return tuple(r for _, r in run_cuts(b))
 
 
 def minimal_left(r: Ordinal, b: Ordinal) -> Ordinal:
     """The least c with c + r = b; requires r to be a right part of b."""
-    if r == b:
-        return ZERO
-    for i in range(len(b.terms)):
-        exp, coeff = b.terms[i]
-        tail = b.terms[i + 1:]
-        if r.terms == tail:
-            return Ordinal(b.terms[: i + 1])
-        if (r.terms and r.terms[0][0] == exp and r.terms[0][1] < coeff
-                and r.terms[1:] == tail):
-            return Ordinal(b.terms[:i] + ((exp, coeff - r.terms[0][1]),))
+    for c, rest in run_cuts(b):
+        if rest == r:
+            return c
     raise OrdinalError("%s is not a right part of %s" % (r, b))
 
 
@@ -236,30 +237,18 @@ def cut_tails(b: Ordinal, max_cut: Optional[Ordinal] = None) -> Tuple[Ordinal, .
     when given): the lengths that remain after dropping positions <= d from a
     run of length b.  Decreasing order."""
     out = []
-    for r in right_parts(b):
-        mu = _min_successor_left(r, b)
-        if mu is None:
+    for c, r in run_cuts(b):
+        # The least successor mu with mu + r = b: c itself, or c + 1 when r
+        # is infinite and absorbs the trailing 1.
+        if c.is_successor():
+            mu = c
+        elif r.is_finite():
             continue
-        if max_cut is not None and cmp(mu, max_cut) > 0:
-            continue
-        out.append(r)
+        else:
+            mu = add(c, ONE)
+        if max_cut is None or cmp(mu, max_cut) <= 0:
+            out.append(r)
     return tuple(out)
-
-
-def _min_successor_left(r: Ordinal, b: Ordinal) -> Optional[Ordinal]:
-    """Least successor mu >= 1 with mu + r = b, or None."""
-    if r == b:
-        # mu + b = b for any mu below b's leading power; take mu = 1.
-        if b.terms and not b.terms[0][0].is_zero():
-            return ONE
-        return None
-    c = minimal_left(r, b)
-    if c.is_successor():
-        return c
-    if r.terms and not r.terms[0][0].is_zero():
-        # r absorbs a trailing +1, so c + 1 also works.
-        return add(c, ONE)
-    return None
 
 
 # -- textual syntax ----------------------------------------------------------

@@ -18,7 +18,9 @@ one `sexpr` grammar row.  Word and tree points are read only through the
 rules of their space (see `space`), never by their point class.
 
 Membership is structural recursion, exact except for ConcatUp on ordinal
-words with infinite runs (see space.ow_cut_pairs).  The point it is asked
+words with infinite runs: the remainders that `OrdWords.splits` leaves of
+a run are exact, but the prefixes it pairs them with inside an infinite
+run are sampled (see its docstring).  The point it is asked
 about is typechecked once at entry; the points of each closure it reads
 are typechecked once per read, and a point that does not typecheck is a
 domain error.  The universal fallback oracle is `extent`: an enumerated
@@ -41,7 +43,7 @@ from typing import (Dict, Iterable, List, Optional, Tuple, Union as TUnion,
                     get_args)
 
 from .ordinal import (ONE, ZERO, Ordinal, add, classify, cmp,
-                      limit_finite_split, minimal_left, right_parts)
+                      limit_finite_split, run_cuts)
 from .space import (
     Atom,
     FiniteQO,
@@ -612,10 +614,7 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
         # into a single one.
         if consume(atom, ai, si + 1, count(si + 1), add(used, remaining)):
             return True
-        for rem in right_parts(remaining):
-            if rem == remaining or rem.is_zero():
-                continue
-            taken = minimal_left(rem, remaining)
+        for taken, rem in run_cuts(remaining)[1:-1]:
             if cmp(add(used, taken), atom.beta) < 0 and match(ai + 1, si, rem):
                 return True
         return False

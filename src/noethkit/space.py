@@ -41,8 +41,7 @@ from .ordinal import (
     cmp,
     cut_tails,
     left_subtract,
-    minimal_left,
-    right_parts,
+    run_cuts,
 )
 
 
@@ -312,10 +311,36 @@ class OrdWords:
         return letter, ord_word(((letter, left_subtract(ONE, count)),) + rest)
 
     def splits(self, p):
-        return ow_cut_pairs(p)
+        """Candidate splits p = uv: every cut at a run boundary, then inside
+        each run one cut per remainder r of `run_cuts`, at its least left
+        part c, and at c + 1 .. c + 4 when r is infinite.  Exact on finite
+        words; on an infinite run sound but not complete, since a run a^w
+        is cut only at its ends: the split a^k . a^w (k >= 1) is never
+        tried, and concatenation membership can wrongly answer false."""
+        segs = p.segments
+        pairs = [(ord_word(segs[:i]), OrdWord(segs[i:]))
+                 for i in range(len(segs) + 1)]
+        for i, (letter, count) in enumerate(segs):
+            for low, rem in run_cuts(count)[1:-1]:
+                suffix = OrdWord(((letter, rem),) + segs[i + 1:])
+                cuts = [low]
+                if not rem.is_finite():
+                    cuts.extend(add(low, Ordinal.from_int(j))
+                                for j in range(1, 5))
+                pairs.extend((ord_word(segs[:i] + ((letter, cut),)), suffix)
+                             for cut in cuts)
+        return tuple(pairs)
 
     def substructures(self, p):
-        return tuple(dict.fromkeys(suffix for _, suffix in self.splits(p)))
+        # p, then what remains of each run after each of its cuts, followed
+        # by the later runs.
+        segs = p.segments
+        out = [p]
+        for i, (letter, count) in enumerate(segs):
+            for _, rem in run_cuts(count)[1:]:
+                run = () if rem.is_zero() else ((letter, rem),)
+                out.append(OrdWord(run + segs[i + 1:]))
+        return tuple(out)
 
     def glue(self, u, v):
         return ord_word(u.segments + v.segments)
@@ -533,37 +558,6 @@ def ow_suffixes_strictly_after(w: OrdWord, below: Ordinal) -> Tuple[OrdWord, ...
         if empty not in seen:
             out.append(empty)
     return tuple(out)
-
-
-def ow_cut_pairs(w: OrdWord) -> Tuple[Tuple[OrdWord, OrdWord], ...]:
-    """Candidate splits w = uv.  Exact for finite words; for infinite runs the
-    prefix length within a run is sampled at its minimum plus four bumps.
-    Sound, but not complete: a run a^w is only ever split at its ends, so the
-    split a^k . a^w (k >= 1) is never tried, and concatenation membership
-    can wrongly answer false on such words."""
-    pairs = []
-    seen = set()
-
-    def emit(prefix_segments, suffix_segments):
-        key = (tuple(prefix_segments), tuple(suffix_segments))
-        if key not in seen:
-            seen.add(key)
-            pairs.append((ord_word(prefix_segments), OrdWord(tuple(suffix_segments))))
-
-    for i in range(len(w.segments) + 1):
-        emit(w.segments[:i], w.segments[i:])
-    for i, (letter, count) in enumerate(w.segments):
-        for rem in right_parts(count):
-            if rem.is_zero() or rem == count:
-                continue  # covered by the boundary cuts
-            low = minimal_left(rem, count)
-            cuts = [low]
-            if rem.terms and not rem.terms[0][0].is_zero():
-                cuts.extend(add(low, Ordinal.from_int(j)) for j in range(1, 5))
-            for cut in cuts:
-                emit(list(w.segments[:i]) + [(letter, cut)],
-                     [(letter, rem)] + list(w.segments[i + 1:]))
-    return tuple(pairs)
 
 
 # -- typechecking -------------------------------------------------------------

@@ -417,6 +417,10 @@ def system_from_json(doc: dict):
         states = [(_field(s, "location", str),
                    _items(s.get("channel", []), str))
                   for s in [_field(doc, "init", dict)] + _field(doc, "target")]
+        for location, _ in states:
+            if location not in system.locations:
+                raise WstsError("state mentions unknown location %r"
+                                % location)
         return system, states[0], states[1:]
     raise WstsError("unknown system family %r" % (family,))
 

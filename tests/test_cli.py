@@ -252,6 +252,16 @@ def one_place(**fields):
     return dict(ONE_PLACE, **fields)
 
 
+def two_locations(**fields):
+    """A lossy system over q0, q1 that sends a from q0 and moves to q1."""
+    return dict({"family": "lossy", "locations": ["q0", "q1"],
+                 "alphabet": ["a"],
+                 "rules": [{"from": "q0", "op": "send", "letter": "a",
+                            "to": "q1"}],
+                 "init": {"location": "q0", "channel": []},
+                 "target": [{"location": "q1", "channel": ["a"]}]}, **fields)
+
+
 # (argv, environment, system document written to the SYSTEM argument, exit code)
 MALFORMED = [
     pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
@@ -276,6 +286,12 @@ MALFORMED = [
                  id="target-negative"),
     pytest.param(["cover", "SYSTEM", "--fuel", "-1"], {}, ONE_PLACE, 1,
                  id="fuel-negative"),
+    pytest.param(["cover", "SYSTEM"], {},
+                 two_locations(init={"location": "q9", "channel": []}), 1,
+                 id="init-location-unknown"),
+    pytest.param(["cover", "SYSTEM"], {},
+                 two_locations(target=[{"location": "q9", "channel": []}]), 1,
+                 id="target-location-unknown"),
     pytest.param(["eval", "extent", "(whole)", "--space", WORDS,
                   "--bound", "-1"], {}, None, 1, id="bound-negative"),
     pytest.param(["iterate", "subword", "--steps", "2", "--cap", "-5"],
@@ -298,6 +314,10 @@ MALFORMED = [
     pytest.param(["iterate", "subword"], {}, None, 2, id="steps-missing"),
     pytest.param(["iterate", "nosuchrule", "--steps", "1"], {}, None, 2,
                  id="unknown-expander"),
+    pytest.param(["iterate", "subword", "--alphabet", "1 2", "--steps", "1"],
+                 {}, None, 2, id="alphabet-numeral-name"),
+    pytest.param(["badchain", "subword", "--alphabet", "a b(", "--length",
+                  "1"], {}, None, 2, id="alphabet-name-with-paren"),
     pytest.param([], {}, None, 2, id="subcommand-missing"),
     pytest.param(["eval", "member", "(pair 1)", "(whole)",
                   "--space", "(prod nat nat)"], {}, None, 2, id="pair-short"),

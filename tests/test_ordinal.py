@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -23,6 +24,7 @@ from noethkit.ordinal import (
     natural_sum,
     parse_ordinal,
     right_parts,
+    run_cuts,
     to_json,
 )
 
@@ -47,6 +49,18 @@ def tri(c2: int, c1: int, c0: int) -> Ordinal:
 
 TABLE = [(c2, c1, c0) for c2 in range(4) for c1 in range(4) for c0 in range(4)]
 TABLE.sort()  # lexicographic == ordinal order on (c2, c1, c0)
+
+
+@functools.lru_cache(maxsize=None)
+def table_sums(successor_left: bool):
+    """b -> the pairs (c, r) of table ordinals with c + r = b, c ascending;
+    with successor_left, c runs over the successors d + 1 of the table."""
+    sums = {}
+    for tc, tr in itertools.product(TABLE, TABLE):
+        c = add(tri(*tc), ONE) if successor_left else tri(*tc)
+        r = tri(*tr)
+        sums.setdefault(add(c, r), []).append((c, r))
+    return sums
 
 
 def tri_add(a, b):
@@ -253,21 +267,37 @@ class TestSubtractionAndCuts:
 
     def test_right_parts_against_table(self):
         # Oracle: r is a right part of b iff some table c gives c + r = b.
+        sums = table_sums(False)
         for tb in TABLE[:48]:
             b = tri(*tb)
             got = set(right_parts(b))
-            want = {tri(*tr) for tr in TABLE
-                    if any(add(tri(*tc), tri(*tr)) == b for tc in TABLE)}
+            want = {r for _, r in sums[b]}
             assert got == want, format_ordinal(b)
 
     def test_cut_tails_against_table(self):
         # Oracle: r survives a cut iff (d+1) + r = b for some table d.
+        sums = table_sums(True)
         for tb in TABLE[:48]:
             b = tri(*tb)
             got = set(cut_tails(b))
-            want = {tri(*tr) for tr in TABLE
-                    if any(add(add(tri(*td), ONE), tri(*tr)) == b for td in TABLE)}
+            want = {r for _, r in sums.get(b, ())}
             assert got == want, format_ordinal(b)
+
+    def test_run_cuts_against_table(self):
+        # Oracle: one pair per right part r of b, with the least table c
+        # such that c + r = b, r strictly decreasing.
+        sums = table_sums(False)
+        for tb in TABLE:
+            b = tri(*tb)
+            cuts = run_cuts(b)
+            least = {}
+            for c, r in sums[b]:  # c ascends, so the first c is the least
+                least.setdefault(r, c)
+            assert all(add(c, r) == b for c, r in cuts), format_ordinal(b)
+            assert dict((r, c) for c, r in cuts) == least, format_ordinal(b)
+            rests = [r for _, r in cuts]
+            assert all(cmp(x, y) > 0 for x, y in zip(rests, rests[1:]))
+            assert cuts[0] == (ZERO, b) and cuts[-1] == (b, ZERO)
 
     def test_cut_tails_bounded(self):
         b = parse_ordinal("w*2")

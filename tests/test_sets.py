@@ -1147,9 +1147,9 @@ class TestNormalForm:
             assert member_open(space, p, u) == member_open(space, p, normal), \
                 (p, normal)
 
-    @pytest.mark.xfail(strict=True, reason="ow_cut_pairs never splits a run "
-                       "a^w as a^k . a^w, so concatenation membership misses "
-                       "a split that its normal form finds")
+    @pytest.mark.xfail(strict=True, reason="OrdWords.splits never splits a "
+                       "run a^w as a^k . a^w, so concatenation membership "
+                       "misses a split that its normal form finds")
     def test_concat_up_membership_on_an_omega_run(self):
         up_a = WordOpen((UpClosure((Atom("a"),)),))
         u = ConcatUp(up_a, up_a)
