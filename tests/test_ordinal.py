@@ -27,6 +27,8 @@ from noethkit.ordinal import (
     run_cuts,
     to_json,
 )
+from noethkit.space import (Atom, OrdWord, ord_word, ow_length,
+                            ow_suffixes_strictly_after)
 
 W2 = Ordinal.omega_power(Ordinal.from_int(2))
 W3 = Ordinal.omega_power(Ordinal.from_int(3))
@@ -298,6 +300,27 @@ class TestSubtractionAndCuts:
             rests = [r for _, r in cuts]
             assert all(cmp(x, y) > 0 for x, y in zip(rests, rests[1:]))
             assert cuts[0] == (ZERO, b) and cuts[-1] == (b, ZERO)
+
+    def test_suffixes_of_one_run_against_table(self):
+        # Oracle: dropping the positions <= d of a^b leaves a^r exactly when
+        # (d+1) + r = b; a cut at d counts for beta when d < beta, and every
+        # position lies below beta past b, which adds the empty suffix.
+        sums = table_sums(True)
+        for tb in TABLE[:48]:
+            b = tri(*tb)
+            word = ord_word([(Atom("a"), b)])
+            for beta in (tri(*t) for t in TABLE):
+                got = [ow_length(s)
+                       for s in ow_suffixes_strictly_after(word, beta)]
+                want = {r for c, r in sums.get(b, ()) if cmp(c, beta) <= 0}
+                if cmp(b, beta) < 0:
+                    want.add(ZERO)
+                where = (format_ordinal(b), format_ordinal(beta))
+                assert len(got) == len(set(got)), where
+                assert set(got) == want, where
+        # Cuts strictly below w can only leave w*2.
+        run = OrdWord(((Atom("a"), parse_ordinal("w*2")),))
+        assert ow_suffixes_strictly_after(run, OMEGA) == (run,)
 
     def test_cut_tails_bounded(self):
         b = parse_ordinal("w*2")
