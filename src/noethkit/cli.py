@@ -7,8 +7,7 @@ divisibility (unfold-order checks for a functor).
 
 Output is a single JSON document on stdout, serialized with sorted keys so
 identical invocations are byte-identical.  Exit codes: 0 success, 1 domain
-error, 2 syntax error.  NOETHKIT_ORACLE_BOUND overrides the default extent
-bound of 4.
+error, 2 syntax error.
 """
 
 from __future__ import annotations
@@ -107,12 +106,11 @@ def cmd_eval(args) -> dict:
             args.query, " ".join(kinds), "%d extra" % extra if extra > 0
             else "missing " + " ".join(kinds[extra:])))
     space = parse_space(args.space)
-    bound = args.bound if args.bound is not None else S.default_bound()
     values = [PARSERS[kind](text) for kind, text in zip(kinds, args.args)]
     if args.query == "member":
         return {"query": "member", "result": S.member_open(space, *values)}
     if args.query == "includes":
-        r = S.includes(space, *values, bound)
+        r = S.includes(space, *values, args.bound)
         return {
             "query": "includes",
             "result": r.value,
@@ -125,10 +123,10 @@ def cmd_eval(args) -> dict:
     if args.query == "closure":
         return {"query": "closure",
                 "result": print_set(S.closure_point(space, values[0]))}
-    points = S.extent(space, values[0], bound)
+    points = S.extent(space, values[0], args.bound)
     return {
         "query": "extent",
-        "bound": bound,
+        "bound": args.bound,
         "count": len(points),
         "points": [print_point(p) for p in points],
     }
@@ -136,16 +134,15 @@ def cmd_eval(args) -> dict:
 
 def cmd_iterate(args) -> dict:
     expander = _expander(args)
-    bound = args.bound if args.bound is not None else S.default_bound()
-    result = E.iterate(expander, args.steps, bound, cap=args.cap)
+    result = E.iterate(expander, args.steps, args.bound, cap=args.cap)
     doc = {
         "expander": args.expander,
-        "bound": bound,
+        "bound": args.bound,
         "fixed_point_at": result.fixed_point_at,
-        "stages": [_stage_doc(stage, bound) for stage in result.stages],
+        "stages": [_stage_doc(stage, args.bound) for stage in result.stages],
     }
     if args.dot_out:
-        dot = E.export_dot(result.stages[-1], bound)
+        dot = E.export_dot(result.stages[-1], args.bound)
         with open(args.dot_out, "w") as handle:
             handle.write(dot)
         doc["dot_out"] = args.dot_out
@@ -163,13 +160,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 def cmd_badchain(args) -> dict:
     expander = _expander(args)
-    bound = args.bound if args.bound is not None else S.default_bound()
-    chain = E.find_bad_chain(expander, args.length, bound, cap=args.cap)
+    chain = E.find_bad_chain(expander, args.length, args.bound, cap=args.cap)
     if chain is None:
-        return {"expander": args.expander, "chain": None, "bound": bound}
+        return {"expander": args.expander, "chain": None, "bound": args.bound}
     return {
         "expander": args.expander,
-        "bound": bound,
+        "bound": args.bound,
         "chain": {
             "picks": [print_set(g) for g in chain.picks],
             "unions": [print_set(u) for u in chain.unions],
@@ -179,13 +175,12 @@ def cmd_badchain(args) -> dict:
 
 def cmd_good(args) -> dict:
     space = parse_space(args.space)
-    bound = args.bound if args.bound is not None else S.default_bound()
     with open(args.sequence) as handle:
         lines = [line.strip() for line in handle if line.strip()]
     seq = [parse_set(line) for line in lines]
-    hit = S.find_good_index(space, seq, bound)
+    hit = S.find_good_index(space, seq, args.bound)
     if hit is None:
-        return {"good_index": None, "length": len(seq), "bound": bound}
+        return {"good_index": None, "length": len(seq), "bound": args.bound}
     index, evidence = hit
     return {
         "good_index": index,
@@ -231,9 +226,8 @@ def cmd_divisibility(args) -> dict:
             "mismatches": mismatches,
         }
     if args.check == "coincidence":
-        bound = args.bound if args.bound is not None else 3
-        result = E.iterate(expander, args.depth, bound)
-        oracle = S.oracle_for(expander.space, bound)
+        result = E.iterate(expander, args.depth, args.bound)
+        oracle = S.oracle_for(expander.space, args.bound)
         table = I.DivisibilityTable(functor, args.depth + 1, size_cap)
         points = {convert(m): m for m in table.universe()}
         # Universe indices of the unfolded points, with their mu terms.
@@ -247,7 +241,7 @@ def cmd_divisibility(args) -> dict:
         return {
             "check": "coincidence",
             "depth": args.depth,
-            "bound": bound,
+            "bound": args.bound,
             "equal": equal,
         }
     raise DomainError("unknown divisibility check %r" % args.check)
@@ -263,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", choices=QUERIES)
     p.add_argument("args", nargs="+", help="query arguments (s-expressions)")
     p.add_argument("--space", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=S.DEFAULT_BOUND)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("iterate", help="iterate a refinement rule")
     p.add_argument("expander", choices=EXPANDERS)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=S.DEFAULT_BOUND)
     p.add_argument("--cap", type=int, default=E.DEFAULT_CAP)
     p.add_argument("--alphabet", default="a b")
     p.add_argument("--alpha", default="w*2")
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("badchain", help="search for a depth-increasing bad chain")
     p.add_argument("expander", choices=EXPANDERS)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=S.DEFAULT_BOUND)
     p.add_argument("--cap", type=int, default=E.DEFAULT_CAP)
     p.add_argument("--alphabet", default="a b")
     p.add_argument("--alpha", default="w*2")
@@ -289,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good", help="least good index of a sequence of opens")
     p.add_argument("sequence", help="file with one open per line")
     p.add_argument("--space", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=S.DEFAULT_BOUND)
     p.set_defaults(func=cmd_good)
 
     p = sub.add_parser("cover", help="backward coverability of a JSON system")
@@ -303,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--check", choices=["stability", "coincidence", "embedding"],
                    required=True)
-    p.add_argument("--bound", type=int, default=None)
+    # Not DEFAULT_BOUND: the golden coincidence answers are taken at 3.
+    p.add_argument("--bound", type=int, default=3)
     p.add_argument("--size-cap", type=int, default=None)
     p.set_defaults(func=cmd_divisibility)
     return parser

@@ -9,8 +9,9 @@ provides the cut/remainder combinatorics used by ordinal-length words:
 given a run of length b, the distinct lengths that can remain after
 removing a prefix form a small finite set, computable from the CNF of b.
 `run_cuts(b)` lists them once, each with its least left part; every rule
-that cuts a run (`right_parts`, `minimal_left`, `cut_tails`, the splits
-and suffixes of ordinal words, the takes of ordinal products) reads it.
+that cuts a run reads it: `OrdWords.splits`, `OrdWords.substructures` and
+`ow_suffixes_strictly_after` (the tails of suffix triangles) in `space`,
+and the takes of ordinal products (`_match_product`) in `sets`.
 """
 
 from __future__ import annotations
@@ -216,39 +217,6 @@ def run_cuts(b: Ordinal) -> Tuple[Tuple[Ordinal, Ordinal], ...]:
                     for k in range(coeff - 1, 0, -1))
         cuts.append((Ordinal(head + ((exp, coeff),)), Ordinal(tail)))
     return tuple(cuts)
-
-
-def right_parts(b: Ordinal) -> Tuple[Ordinal, ...]:
-    """All r such that c + r = b for some c (the possible suffix lengths
-    after splitting a run of length b), in strictly decreasing order."""
-    return tuple(r for _, r in run_cuts(b))
-
-
-def minimal_left(r: Ordinal, b: Ordinal) -> Ordinal:
-    """The least c with c + r = b; requires r to be a right part of b."""
-    for c, rest in run_cuts(b):
-        if rest == r:
-            return c
-    raise OrdinalError("%s is not a right part of %s" % (r, b))
-
-
-def cut_tails(b: Ordinal, max_cut: Optional[Ordinal] = None) -> Tuple[Ordinal, ...]:
-    """Distinct r such that (d+1) + r = b for some position d (with d < max_cut
-    when given): the lengths that remain after dropping positions <= d from a
-    run of length b.  Decreasing order."""
-    out = []
-    for c, r in run_cuts(b):
-        # The least successor mu with mu + r = b: c itself, or c + 1 when r
-        # is infinite and absorbs the trailing 1.
-        if c.is_successor():
-            mu = c
-        elif r.is_finite():
-            continue
-        else:
-            mu = add(c, ONE)
-        if max_cut is None or cmp(mu, max_cut) <= 0:
-            out.append(r)
-    return tuple(out)
 
 
 # -- textual syntax ----------------------------------------------------------

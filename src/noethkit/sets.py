@@ -35,7 +35,6 @@ that records its bound.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from operator import and_, or_
@@ -81,15 +80,8 @@ class RewriteShapeError(SetError):
     """Raised when a rewrite identity does not apply to the given shape."""
 
 
-def default_bound() -> int:
-    text = os.environ.get("NOETHKIT_ORACLE_BOUND", "4")
-    if text.strip().isdecimal():
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's digit limit for int()
-            pass
-    raise SetError("NOETHKIT_ORACLE_BOUND must be a non-negative integer, "
-                   "got %r" % text)
+# The extent bound of every query not given one.
+DEFAULT_BOUND = 4
 
 
 class _Set:
@@ -278,6 +270,8 @@ class WordOpen(_Set):
         fits = lambda part, letter: part.member(base, letter)
         return space.pattern_leq(self.parts, p, fits)
 
+    # Slower on one lone extent, but stages reuse the tails: filtering by
+    # membership instead took the bench `stages` op_tail_ms up by 55-60%.
     def mask(self, oracle) -> int:
         if len(self.parts) > 1 and isinstance(oracle.space, (Words, OrdWords)):
             base = oracle_for(oracle.space.base, oracle.bound)
@@ -369,6 +363,8 @@ class Triangle(_Set):
         return map(space.point,
                    ow_suffixes_strictly_after(space.runs(p), self.beta))
 
+    # Suffixes looked up in the inner mask: filtering by membership instead
+    # took the bench `restrict` wall_s up by 35-60%.
     def mask(self, oracle) -> int:
         if not isinstance(oracle.space, (Words, OrdWords)):
             return super().mask(oracle)
@@ -425,6 +421,8 @@ class PrefixConcat(_Set):
         return (step is not None and self.letters.member(base, step[0])
                 and self.rest.member(space, step[1]))
 
+    # Built from its parts' extents: filtering both this and the Triangle
+    # rule by membership instead took the bench `stages` wall_s up 4-fold.
     def mask(self, oracle) -> int:
         if not (isinstance(self.letters, BaseOpen)
                 and isinstance(oracle.space, Words)):
@@ -783,7 +781,7 @@ class IncludesResult:
 
 
 def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
-             bound: Optional[int] = None) -> IncludesResult:
+             bound: int = DEFAULT_BOUND) -> IncludesResult:
     """Three-valued inclusion a <= b.  Exact on unions of upward closures and
     on letter-pattern word opens; otherwise decided by extents at `bound`
     (the bound is recorded in the result)."""
@@ -820,8 +818,6 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
             r = includes(space, a, part, bound)
             if r.value is True:
                 return IncludesResult(True, "union-right", bound=r.bound)
-    if bound is None:
-        bound = default_bound()
     try:
         oracle = oracle_for(space, bound)
     except SpaceError:  # a universe past space.MAX_UNIVERSE
@@ -859,26 +855,25 @@ def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> IncludesResult:
     the Higman match of b's parts into a's, where a part fits the parts
     that it includes.  A True answer carries the bound its letter
     inclusions were decided at when one of them was decided by extents."""
-    base_bound = bound if bound is not None else default_bound()
     base = _word_space_base(space)
     bounded = False  # whether an inclusion the match used had a bound
 
     def fits(v, u) -> bool:
         nonlocal bounded
-        r = includes(base, u, v, base_bound)
+        r = includes(base, u, v, bound)
         bounded = bounded or (r.value is True and r.bound is not None)
         return r.value is True
 
     if higman_leq(b.parts, a.parts, fits):
         return IncludesResult(True, "wordopen-rule",
-                              bound=base_bound if bounded else None)
+                              bound=bound if bounded else None)
     # A witness needs only one letter per left-hand part.
-    oracle = oracle_for(space, max(base_bound, len(a.parts)))
+    oracle = oracle_for(space, max(bound, len(a.parts)))
     return IncludesResult(False, "wordopen-rule",
                           witness=_least_outside(oracle, a, b))
 
 
-def find_good_index(space: SpaceExpr, seq, bound: Optional[int] = None):
+def find_good_index(space: SpaceExpr, seq, bound: int = DEFAULT_BOUND):
     """Least i whose open is included in the union of its predecessors, with
     the inclusion evidence of `includes`; None if the sequence is bad
     throughout.
@@ -957,16 +952,16 @@ class TopologyDesc:
 
 
 def restrict(t: TopologyDesc, h: ClosedExpr,
-             bound: Optional[int] = None) -> TopologyDesc:
+             bound: int = DEFAULT_BOUND) -> TopologyDesc:
     """The subset restriction tau|H: generated by the opens U /\\ H.
 
     `h` must be closed in t, i.e. its complement must be open in the
     generated topology; this is verified extensionally at `bound`."""
     if isinstance(h, WholeC):
         return t
-    b = bound if bound is not None else default_bound()
-    if not _closed_in(t, h, b):
-        raise SetError("carrier is not closed in the topology at bound %d" % b)
+    if not _closed_in(t, h, bound):
+        raise SetError("carrier is not closed in the topology at bound %d"
+                       % bound)
     return TopologyDesc(t.space, t.effective_subbasis(), h)
 
 
@@ -1014,7 +1009,7 @@ def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:
 
 
 def spec_leq_restricted(t: TopologyDesc, h: ClosedExpr, x: PointTerm,
-                        y: PointTerm, bound: Optional[int] = None) -> bool:
+                        y: PointTerm, bound: int = DEFAULT_BOUND) -> bool:
     """Specialisation preorder of the subset restriction tau|H, computed from
     the definition (not from the closed-carrier shortcut formula)."""
     return spec_leq(restrict(t, h, bound=bound), x, y)

@@ -149,11 +149,12 @@ PARSE_MEMO_SIZE = 4096
 
 
 def memo_by_text(parse):
-    """`parse`, memoised on text: a str argument is looked up among the last
-    PARSE_MEMO_SIZE texts, so equal texts give one shared term, and an
-    already-read list is parsed afresh.  A text that fails to parse raises
-    on every call and is not stored."""
-    table = lru_cache(maxsize=PARSE_MEMO_SIZE)(parse)
+    """`parse` as an entry point, memoised on text: a str argument is read
+    (`read`) and looked up among the last PARSE_MEMO_SIZE texts, so equal
+    texts give one shared term, and an already-read list is parsed afresh.
+    `parse` itself sees a str only as one token of a read form.  A text
+    that fails to parse raises on every call and is not stored."""
+    table = lru_cache(maxsize=PARSE_MEMO_SIZE)(lambda text: parse(read(text)))
 
     @wraps(parse)
     def entry(expr):
@@ -242,8 +243,6 @@ print_space = print_point = print_set = print_term
 
 
 def _parse_space(expr) -> sp.SpaceExpr:
-    if isinstance(expr, str) and expr != "nat":
-        expr = read(expr)
     if expr == "nat":
         return sp.Nat()
     head = _head(expr, "space")
@@ -282,8 +281,6 @@ def _parse_point(expr) -> sp.PointTerm:
     if isinstance(expr, str):
         if expr.isdecimal():
             return sp.NatVal(_natural(expr))
-        if "(" in expr:
-            return _parse_point(read(expr))
         return sp.Atom(expr)
     head = _head(expr, "point")
     if head == "nat":
@@ -325,8 +322,6 @@ def _runs(w: sp.OrdWord) -> str:
 
 
 def _parse_set(expr) -> TUnion[S.OpenExpr, S.ClosedExpr]:
-    if isinstance(expr, str):
-        expr = read(expr)
     return parse_row(expr, _SETS, "set")
 
 

@@ -39,7 +39,6 @@ from .ordinal import (
     _sort_key,
     add,
     cmp,
-    cut_tails,
     left_subtract,
     run_cuts,
 )
@@ -535,7 +534,13 @@ def ow_suffix_from(w: OrdWord, i: int) -> OrdWord:
 
 
 def ow_suffixes_strictly_after(w: OrdWord, below: Ordinal) -> Tuple[OrdWord, ...]:
-    """The distinct suffixes w_{>g} for positions g < below (a finite set)."""
+    """The distinct suffixes w_{>g} for positions g < below (a finite set).
+
+    Dropping the positions <= d of a run of length b leaves the remainder r
+    of a cut (c, r) of `run_cuts(b)` when (d+1) + r = b.  The least such
+    successor mu = d + 1 is c when c is a successor, c + 1 when r is
+    infinite (r absorbs the trailing 1), and none exists otherwise.  The
+    cut is kept when mu is at most the room the run has below `below`."""
     out = []
     seen = set()
     start = ZERO
@@ -543,8 +548,15 @@ def ow_suffixes_strictly_after(w: OrdWord, below: Ordinal) -> Tuple[OrdWord, ...
         if cmp(start, below) >= 0:
             break
         room = left_subtract(start, below)
-        max_cut = room if cmp(room, count) < 0 else None
-        for rem in cut_tails(count, max_cut):
+        for c, rem in run_cuts(count):
+            if c.is_successor():
+                mu = c
+            elif rem.is_finite():
+                continue
+            else:
+                mu = add(c, ONE)
+            if cmp(mu, room) > 0:
+                continue
             if rem.is_zero():
                 suffix = OrdWord(w.segments[i + 1:])
             else:

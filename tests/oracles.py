@@ -7,8 +7,8 @@ tree embedding searches over explicit node injections.
 
 import itertools
 
-from noethkit.sets import (Union, find_good_index, includes, lattice_contains,
-                           meet_table)
+from noethkit.sets import (DEFAULT_BOUND, Union, find_good_index, includes,
+                           lattice_contains, meet_table)
 from noethkit.space import TreeNode
 from noethkit.wsts import CoverabilityResult, FuelExhausted, _basis_open
 
@@ -103,7 +103,7 @@ def same_generated_lattice(gens_a, gens_b, whole) -> bool:
             == meet_table(map(mask, gens_b), full))
 
 
-def good_index_brute(space, seq, bound=None):
+def good_index_brute(space, seq, bound=DEFAULT_BOUND):
     """The goodness certificate the long way: each open is asked of
     `includes` against the union of all its predecessors, normalised
     afresh.  Returns the least included index with its evidence, or None."""

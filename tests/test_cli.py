@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -43,6 +44,11 @@ class TestEval:
     def test_leq(self, capsys):
         code, doc = run_cli(capsys, "eval", "leq", "(word a b)", "(word a a b)",
                             "--space", "(words (fin a b))")
+        assert code == 0 and doc["result"] is True
+
+    def test_bare_point_text_is_read(self, capsys):
+        # Whitespace around a token is the reader's, not part of the point.
+        code, doc = run_cli(capsys, "eval", "leq", " 5", "6", "--space", "nat")
         assert code == 0 and doc["result"] is True
 
     def test_closure(self, capsys):
@@ -262,137 +268,131 @@ def two_locations(**fields):
                  "target": [{"location": "q1", "channel": ["a"]}]}, **fields)
 
 
-# (argv, environment, system document written to the SYSTEM argument, exit code)
+# (argv, system document written to the SYSTEM argument, exit code)
 MALFORMED = [
-    pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
-                 {"NOETHKIT_ORACLE_BOUND": "four"}, None, 1, id="env-bound-text"),
-    pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
-                 {"NOETHKIT_ORACLE_BOUND": "-2"}, None, 1, id="env-bound-negative"),
     pytest.param(["eval", "leq", "(word a)", "7", "--space", WORDS],
-                 {}, None, 1, id="leq-ill-typed"),
+                 None, 1, id="leq-ill-typed"),
     pytest.param(["eval", "member", "(word a)", DEEP, "--space", WORDS],
-                 {}, None, 2, id="deep-nesting"),
+                 None, 2, id="deep-nesting"),
     pytest.param(["eval", "leq", "(nat x)", "1", "--space", "nat"],
-                 {}, None, 2, id="nat-not-a-number"),
-    pytest.param(["cover", "SYSTEM"], {}, one_place(places="two"), 1,
+                 None, 2, id="nat-not-a-number"),
+    pytest.param(["eval", "leq", "a b", "a", "--space", "(fin a)"],
+                 None, 2, id="point-two-tokens"),
+    pytest.param(["eval", "leq", "a)", "a", "--space", "(fin a)"],
+                 None, 2, id="point-unopened-paren"),
+    pytest.param(["cover", "SYSTEM"], one_place(places="two"), 1,
                  id="places-text"),
-    pytest.param(["cover", "SYSTEM"], {},
+    pytest.param(["cover", "SYSTEM"],
                  one_place(rules=[{"guard": [0], "delta": ["x"]}]), 1,
                  id="delta-text"),
-    pytest.param(["cover", "SYSTEM"], {}, [1, 2], 1, id="document-not-object"),
-    pytest.param(["cover", "SYSTEM"], {}, one_place(init=[-3]), 1,
+    pytest.param(["cover", "SYSTEM"], [1, 2], 1, id="document-not-object"),
+    pytest.param(["cover", "SYSTEM"], one_place(init=[-3]), 1,
                  id="init-negative"),
-    pytest.param(["cover", "SYSTEM"], {}, one_place(target=[[-1]]), 1,
+    pytest.param(["cover", "SYSTEM"], one_place(target=[[-1]]), 1,
                  id="target-negative"),
-    pytest.param(["cover", "SYSTEM", "--fuel", "-1"], {}, ONE_PLACE, 1,
+    pytest.param(["cover", "SYSTEM", "--fuel", "-1"], ONE_PLACE, 1,
                  id="fuel-negative"),
-    pytest.param(["cover", "SYSTEM"], {},
+    pytest.param(["cover", "SYSTEM"],
                  two_locations(init={"location": "q9", "channel": []}), 1,
                  id="init-location-unknown"),
-    pytest.param(["cover", "SYSTEM"], {},
+    pytest.param(["cover", "SYSTEM"],
                  two_locations(target=[{"location": "q9", "channel": []}]), 1,
                  id="target-location-unknown"),
     pytest.param(["eval", "extent", "(whole)", "--space", WORDS,
-                  "--bound", "-1"], {}, None, 1, id="bound-negative"),
+                  "--bound", "-1"], None, 1, id="bound-negative"),
     pytest.param(["iterate", "subword", "--steps", "2", "--cap", "-5"],
-                 {}, None, 1, id="cap-negative"),
+                 None, 1, id="cap-negative"),
     pytest.param(["iterate", "subword", "--steps", "2", "--cap", "0"],
-                 {}, None, 1, id="cap-zero"),
-    pytest.param(["iterate", "div", "--steps", "-1"], {}, None, 1,
+                 None, 1, id="cap-zero"),
+    pytest.param(["iterate", "div", "--steps", "-1"], None, 1,
                  id="steps-negative"),
-    pytest.param(["badchain", "subword", "--length", "-1"], {}, None, 1,
+    pytest.param(["badchain", "subword", "--length", "-1"], None, 1,
                  id="length-negative"),
     pytest.param(["divisibility", "(mu (sum unit (prod (fin a b) id)))",
-                  "--depth", "-1", "--check", "stability"], {}, None, 1,
+                  "--depth", "-1", "--check", "stability"], None, 1,
                  id="depth-negative"),
     *(pytest.param(["divisibility", "(sum unit (prod (fin a b) id))",
-                    "--depth", "0", "--check", check], {}, None, 1,
+                    "--depth", "0", "--check", check], None, 1,
                    id="depth-zero-" + check)
       for check in ("embedding", "stability", "coincidence")),
-    pytest.param(["iterate", "subword", "--steps", "x"], {}, None, 2,
+    pytest.param(["iterate", "subword", "--steps", "x"], None, 2,
                  id="steps-not-a-number"),
-    pytest.param(["iterate", "subword"], {}, None, 2, id="steps-missing"),
-    pytest.param(["iterate", "nosuchrule", "--steps", "1"], {}, None, 2,
+    pytest.param(["iterate", "subword"], None, 2, id="steps-missing"),
+    pytest.param(["iterate", "nosuchrule", "--steps", "1"], None, 2,
                  id="unknown-expander"),
     pytest.param(["iterate", "subword", "--alphabet", "1 2", "--steps", "1"],
-                 {}, None, 2, id="alphabet-numeral-name"),
+                 None, 2, id="alphabet-numeral-name"),
     pytest.param(["badchain", "subword", "--alphabet", "a b(", "--length",
-                  "1"], {}, None, 2, id="alphabet-name-with-paren"),
-    pytest.param([], {}, None, 2, id="subcommand-missing"),
+                  "1"], None, 2, id="alphabet-name-with-paren"),
+    pytest.param([], None, 2, id="subcommand-missing"),
     pytest.param(["eval", "member", "(pair 1)", "(whole)",
-                  "--space", "(prod nat nat)"], {}, None, 2, id="pair-short"),
+                  "--space", "(prod nat nat)"], None, 2, id="pair-short"),
     pytest.param(["eval", "member", "(pair 1 1)", "(rect (whole))",
-                  "--space", "(prod nat nat)"], {}, None, 2, id="rect-short"),
+                  "--space", "(prod nat nat)"], None, 2, id="rect-short"),
     pytest.param(["eval", "leq", "a", "a", "--space", "(sum (fin a))"],
-                 {}, None, 2, id="sum-short"),
+                 None, 2, id="sum-short"),
     pytest.param(["eval", "leq", "a", "b",
-                  "--space", "(qo (elems a b) (leq a))"], {}, None, 2,
+                  "--space", "(qo (elems a b) (leq a))"], None, 2,
                  id="qo-pair-short"),
     pytest.param(["eval", "leq", "a", "b",
-                  "--space", "(qo (elems a b) (leq (a c)))"], {}, None, 1,
+                  "--space", "(qo (elems a b) (leq (a c)))"], None, 1,
                  id="qo-unknown-name"),
     pytest.param(["eval", "leq", "(ordword (a))", "(ordword (a 1))",
-                  "--space", "(ordwords (fin a b) w*2)"], {}, None, 2,
+                  "--space", "(ordwords (fin a b) w*2)"], None, 2,
                  id="ordword-run-short"),
     pytest.param(["divisibility", "(list)", "--depth", "1",
-                  "--check", "stability"], {}, None, 2, id="list-short"),
+                  "--check", "stability"], None, 2, id="list-short"),
     pytest.param(["eval", "member", "(word a)", "(whole junk)",
-                  "--space", WORDS], {}, None, 2, id="whole-with-argument"),
-    pytest.param(["eval", "member", "(word a)", "--space", WORDS], {}, None,
+                  "--space", WORDS], None, 2, id="whole-with-argument"),
+    pytest.param(["eval", "member", "(word a)", "--space", WORDS], None,
                  2, id="eval-argument-missing"),
-    pytest.param(["eval", "leq", LONG_NUMBER, "1", "--space", "nat"], {},
+    pytest.param(["eval", "leq", LONG_NUMBER, "1", "--space", "nat"],
                  None, 2, id="number-too-long"),
     pytest.param(["eval", "leq", "(ordword (a %s))" % LONG_NUMBER,
                   "(ordword (a 1))", "--space", "(ordwords (fin a b) w*2)"],
-                 {}, None, 2, id="ordinal-count-too-long"),
-    pytest.param(["eval", "extent", "(whole)", "--space", WORDS],
-                 {"NOETHKIT_ORACLE_BOUND": LONG_NUMBER}, None, 1,
-                 id="env-bound-too-long"),
+                 None, 2, id="ordinal-count-too-long"),
     pytest.param(["eval", "extent", "(up (word a))", "--space", WORDS,
-                  "--bound", "1000"], {}, None, 1, id="universe-too-deep"),
+                  "--bound", "1000"], None, 1, id="universe-too-deep"),
     pytest.param(["eval", "extent", "(up (word a))", "--space", WORDS,
-                  "--bound", "900"], {}, None, 1, id="universe-too-large"),
+                  "--bound", "900"], None, 1, id="universe-too-large"),
     pytest.param(["eval", "includes", "(up (word a))",
                   "(union (up (word a)) (up (word c)))", "--space", WORDS],
-                 {}, None, 1, id="includes-uncompared-ill-typed"),
+                 None, 1, id="includes-uncompared-ill-typed"),
     pytest.param(["eval", "includes", "(up (word c))", "(empty)",
-                  "--space", WORDS], {}, None, 1, id="includes-ill-typed-left"),
+                  "--space", WORDS], None, 1, id="includes-ill-typed-left"),
     pytest.param(["eval", "member", "(word a)", "(up (word a) (word c))",
-                  "--space", WORDS], {}, None, 1, id="member-up-ill-typed"),
+                  "--space", WORDS], None, 1, id="member-up-ill-typed"),
     pytest.param(["eval", "member", "(word a)", "(down (word a) (word c))",
-                  "--space", WORDS], {}, None, 1, id="member-down-ill-typed"),
-    pytest.param(["eval", "extent", "(whole)", "--space", "(fin 5 6)"], {},
+                  "--space", WORDS], None, 1, id="member-down-ill-typed"),
+    pytest.param(["eval", "extent", "(whole)", "--space", "(fin 5 6)"],
                  None, 2, id="numeral-name"),
     pytest.param(["eval", "member", "(word a)", "(union (down (word a)))",
-                  "--space", WORDS], {}, None, 2, id="member-closed-as-open"),
+                  "--space", WORDS], None, 2, id="member-closed-as-open"),
     pytest.param(["eval", "extent", "(compl (down (word a)))",
-                  "--space", WORDS], {}, None, 2, id="extent-closed-as-open"),
+                  "--space", WORDS], None, 2, id="extent-closed-as-open"),
     pytest.param(["eval", "extent", "(carrier (up (word a)))",
-                  "--space", WORDS], {}, None, 2, id="extent-open-as-closed"),
+                  "--space", WORDS], None, 2, id="extent-open-as-closed"),
     pytest.param(["eval", "includes", "(up (word a))",
-                  "(rtimes (base a) (whole))", "--space", WORDS], {}, None, 2,
+                  "(rtimes (base a) (whole))", "--space", WORDS], None, 2,
                  id="includes-open-as-closed"),
     pytest.param(["eval", "member", "(word a)", "(ordprod (down a))",
-                  "--space", WORDS], {}, None, 2,
+                  "--space", WORDS], None, 2,
                  id="member-closed-as-product-atom"),
     pytest.param(["eval", "member", "a", "(base c)", "--space", "(fin a b)"],
-                 {}, None, 1, id="member-base-name-outside"),
+                 None, 1, id="member-base-name-outside"),
     pytest.param(["eval", "member", "(word a)", "(base a)", "--space", WORDS],
-                 {}, None, 1, id="member-base-over-words"),
-    pytest.param(["eval", "member", "3", "(base a)", "--space", "nat"], {},
+                 None, 1, id="member-base-over-words"),
+    pytest.param(["eval", "member", "3", "(base a)", "--space", "nat"],
                  None, 1, id="member-base-over-nat"),
     pytest.param(["eval", "member", "b", "(base a)",
-                  "--space", "(qo (elems a b) (leq (a b)))"], {}, None, 1,
+                  "--space", "(qo (elems a b) (leq (a b)))"], None, 1,
                  id="member-base-not-upward-closed"),
 ]
 
 
-@pytest.mark.parametrize("argv, env, system, want", MALFORMED)
-def test_malformed_input_gives_one_error_document(capsys, monkeypatch,
-                                                  tmp_path, argv, env,
+@pytest.mark.parametrize("argv, system, want", MALFORMED)
+def test_malformed_input_gives_one_error_document(capsys, tmp_path, argv,
                                                   system, want):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     if system is not None:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(system))
@@ -402,6 +402,34 @@ def test_malformed_input_gives_one_error_document(capsys, monkeypatch,
     doc = json.loads(out)  # raises on anything beyond one document
     assert code == want
     assert doc["kind"] == {1: "domain", 2: "syntax"}[code] and doc["error"]
+
+
+class TestEnvironment:
+    """The extent bound has one source, `--bound`, whose default is
+    `sets.DEFAULT_BOUND`; no module reads the environment."""
+
+    @pytest.mark.parametrize("value", ["2", "four"])
+    def test_bound_does_not_read_the_environment(self, capsys, monkeypatch,
+                                                 value):
+        monkeypatch.setenv("NOETHKIT_ORACLE_BOUND", value)
+        code, doc = run_cli(capsys, "eval", "extent", "(whole)",
+                            "--space", WORDS)
+        assert code == 0 and doc["bound"] == 4
+
+    def test_no_module_reads_the_environment(self):
+        package = Path(noethkit.__file__).resolve().parent
+        readers = {"environ", "environb", "getenv", "getenvb"}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = {alias.name for alias in node.names}
+                else:
+                    names = set()
+                assert not names & readers, (path.name, node.lineno)
 
 
 def test_error_text_does_not_depend_on_the_hash_seed():

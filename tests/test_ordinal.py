@@ -14,16 +14,13 @@ from noethkit.ordinal import (
     add,
     classify,
     cmp,
-    cut_tails,
     format_ordinal,
     from_json,
     is_indecomposable,
     left_subtract,
     limit_finite_split,
-    minimal_left,
     natural_sum,
     parse_ordinal,
-    right_parts,
     run_cuts,
     to_json,
 )
@@ -267,24 +264,6 @@ class TestSubtractionAndCuts:
         assert limit_finite_split(OMEGA) == (OMEGA, 0)
         assert limit_finite_split(ZERO) == (ZERO, 0)
 
-    def test_right_parts_against_table(self):
-        # Oracle: r is a right part of b iff some table c gives c + r = b.
-        sums = table_sums(False)
-        for tb in TABLE[:48]:
-            b = tri(*tb)
-            got = set(right_parts(b))
-            want = {r for _, r in sums[b]}
-            assert got == want, format_ordinal(b)
-
-    def test_cut_tails_against_table(self):
-        # Oracle: r survives a cut iff (d+1) + r = b for some table d.
-        sums = table_sums(True)
-        for tb in TABLE[:48]:
-            b = tri(*tb)
-            got = set(cut_tails(b))
-            want = {r for _, r in sums.get(b, ())}
-            assert got == want, format_ordinal(b)
-
     def test_run_cuts_against_table(self):
         # Oracle: one pair per right part r of b, with the least table c
         # such that c + r = b, r strictly decreasing.
@@ -322,14 +301,3 @@ class TestSubtractionAndCuts:
         run = OrdWord(((Atom("a"), parse_ordinal("w*2")),))
         assert ow_suffixes_strictly_after(run, OMEGA) == (run,)
 
-    def test_cut_tails_bounded(self):
-        b = parse_ordinal("w*2")
-        assert set(cut_tails(b)) == {parse_ordinal("w*2"), OMEGA}
-        # Cuts strictly below w can only leave w*2.
-        assert set(cut_tails(b, max_cut=OMEGA)) == {parse_ordinal("w*2")}
-
-    def test_minimal_left(self):
-        b = parse_ordinal("w*2 + 3")
-        assert minimal_left(parse_ordinal("w + 3"), b) == OMEGA
-        assert minimal_left(ONE, b) == parse_ordinal("w*2 + 2")
-        assert minimal_left(b, b) == ZERO

@@ -49,7 +49,6 @@ from noethkit.sets import (
     Whole,
     WholeC,
     WordOpen,
-    default_bound,
 )
 from noethkit.sexpr import (
     _POINTS,
@@ -259,10 +258,3 @@ class TestParseMemo:
         assert parse.cache_info().maxsize == noethkit.sexpr.PARSE_MEMO_SIZE
         assert 0 < noethkit.sexpr.PARSE_MEMO_SIZE < float("inf")
 
-
-class TestDefaults:
-    def test_oracle_bound_env_override(self, monkeypatch):
-        monkeypatch.setenv("NOETHKIT_ORACLE_BOUND", "7")
-        assert default_bound() == 7
-        monkeypatch.delenv("NOETHKIT_ORACLE_BOUND")
-        assert default_bound() == 4
