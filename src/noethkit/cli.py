@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--check", choices=["stability", "coincidence", "embedding"],
                    required=True)
-    # Not DEFAULT_BOUND: the golden coincidence answers are taken at 3.
+    # 3, not DEFAULT_BOUND: the recorded coincidence answers are taken at 3.
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--size-cap", type=int, default=None)
     p.set_defaults(func=cmd_divisibility)

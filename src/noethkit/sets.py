@@ -271,7 +271,7 @@ class WordOpen(_Set):
         return space.pattern_leq(self.parts, p, fits)
 
     # Slower on one lone extent, but stages reuse the tails: filtering by
-    # membership instead took the bench `stages` op_tail_ms up by 55-60%.
+    # membership instead took the bench `stages` op_tail_ms up by half.
     def mask(self, oracle) -> int:
         if len(self.parts) > 1 and isinstance(oracle.space, (Words, OrdWords)):
             base = oracle_for(oracle.space.base, oracle.bound)
@@ -364,7 +364,7 @@ class Triangle(_Set):
                    ow_suffixes_strictly_after(space.runs(p), self.beta))
 
     # Suffixes looked up in the inner mask: filtering by membership instead
-    # took the bench `restrict` wall_s up by 35-60%.
+    # took the bench `restrict` wall_s up by 30-60%.
     def mask(self, oracle) -> int:
         if not isinstance(oracle.space, (Words, OrdWords)):
             return super().mask(oracle)

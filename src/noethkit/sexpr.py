@@ -56,6 +56,8 @@ class SexprError(ValueError):
 
 def read(text: str):
     """Parse one s-expression into nested lists of token strings."""
+    if text.isalnum():  # one token, as most point texts are: no scan needed
+        return text
     tokens = _tokenize(text)
     try:
         expr, rest = _read_expr(tokens, 0)
