@@ -280,8 +280,9 @@ class TestSubtractionAndCuts:
             assert all(cmp(x, y) > 0 for x, y in zip(rests, rests[1:]))
             assert cuts[0] == (ZERO, b) and cuts[-1] == (b, ZERO)
 
-    def test_suffixes_of_one_run_against_table(self):
-        # Oracle: dropping the positions <= d of a^b leaves a^r exactly when
+    def test_cut_tails_against_table(self):
+        # The tails of a run's cuts, read through the suffix rule.  Oracle:
+        # dropping the positions <= d of a^b leaves a^r exactly when
         # (d+1) + r = b; a cut at d counts for beta when d < beta, and every
         # position lies below beta past b, which adds the empty suffix.
         sums = table_sums(True)
@@ -297,7 +298,11 @@ class TestSubtractionAndCuts:
                 where = (format_ordinal(b), format_ordinal(beta))
                 assert len(got) == len(set(got)), where
                 assert set(got) == want, where
-        # Cuts strictly below w can only leave w*2.
+
+    def test_cut_tails_bounded(self):
         run = OrdWord(((Atom("a"), parse_ordinal("w*2")),))
+        tails = ow_suffixes_strictly_after(run, parse_ordinal("w*2 + 1"))
+        assert {ow_length(s) for s in tails} == {parse_ordinal("w*2"), OMEGA, ZERO}
+        # Cuts strictly below w can only leave w*2.
         assert ow_suffixes_strictly_after(run, OMEGA) == (run,)
 
