@@ -124,6 +124,11 @@ class TestCmp:
         if cmp(a, b) == 0:
             assert a == b
 
+    @given(ordinals(), ordinals())
+    def test_operators_agree_with_cmp(self, a, b):
+        c = cmp(a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+
 
 class TestAdd:
     def test_left_absorption(self):
