@@ -32,7 +32,6 @@ from .sets import (
     UpClosure,
     Whole,
     WordOpen,
-    find_good_index,
     lattice_contains,
     meet_table,
     normalize_open,
@@ -130,7 +129,6 @@ def _exponent_menu(alpha: Ordinal, menu: Optional[Sequence[Ordinal]]) -> Tuple[O
 class NatShiftExpander:
     """Refines a topology on the naturals by shifting opens up by one."""
 
-    name = "div"
     space = Nat()
 
     def fresh_generators(self, sources: Sequence[OpenExpr]) -> List[OpenExpr]:
@@ -152,8 +150,6 @@ class PrefixExpander:
     """Prepends one letter to stage opens: the prefix-topology builder
     (whose unbounded iteration is the classic non-Noetherian example)."""
 
-    name = "baditer"
-
     def __init__(self, base: FiniteQO):
         self.base = base
         self.space = Words(base)
@@ -170,8 +166,6 @@ class SubwordExpander:
     """Closes upward concatenations of stage opens and injects the base
     letter cylinders; its fixed point is the subword topology."""
 
-    name = "subword"
-
     def __init__(self, base: FiniteQO):
         self.base = base
         self.space = Words(base)
@@ -183,8 +177,6 @@ class SubwordExpander:
 class TreeExpander:
     """Subtree opens with root patterns from the base and children patterns
     built from stage opens; its fixed point is the tree topology."""
-
-    name = "tree"
 
     def __init__(self, base: FiniteQO, arity_cap: int = 2):
         self.base = base
@@ -199,8 +191,6 @@ class TreeExpander:
 class OrdinalSubwordExpander:
     """The subword rule over ordinal-length words, extended with the suffix
     triangles b |> U for exponents drawn from a finite menu."""
-
-    name = "ordsubword"
 
     def __init__(self, base: FiniteQO, alpha: Ordinal,
                  exponents: Optional[Sequence[Ordinal]] = None):
@@ -218,8 +208,6 @@ class OrdinalSubwordExpander:
 class OrdinalTreeExpander:
     """Subtree opens over ordinal-branching trees; children patterns are
     letter patterns and suffix triangles over the tree opens so far."""
-
-    name = "ordtree"
 
     def __init__(self, base: FiniteQO, alpha: Ordinal,
                  exponents: Optional[Sequence[Ordinal]] = None,
@@ -433,7 +421,6 @@ class StageReport:
     node_count: int
     width: int
     antichain: Tuple[OpenExpr, ...]
-    finite: bool = True
 
 
 def _stage_nodes(stage: TopologyStage, oracle: ExtentOracle):
@@ -571,7 +558,6 @@ __all__ = [
     "depth_of",
     "export_dot",
     "find_bad_chain",
-    "find_good_index",
     "iterate",
     "tdown",
     "trivial_stage",

@@ -240,7 +240,6 @@ MuElement = TUnion[MUnit, MConst, MPair, MInL, MInR, MList]
 
 
 key_rows(get_args(MuElement))
-mu_key = canonical_key
 
 
 def support(f: FunctorExpr, value: MuElement) -> Tuple[MuElement, ...]:
@@ -279,7 +278,7 @@ def enumerate_mu(f: FunctorExpr, depth: int,
     pool: Tuple[MuElement, ...] = ()
     for _ in range(depth):
         pool = f.values(pool, size_cap)
-    return tuple(sorted(set(pool), key=lambda m: (m.size(), mu_key(m))))
+    return tuple(sorted(set(pool), key=lambda m: (m.size(), canonical_key(m))))
 
 
 # -- staged divisibility preorder -------------------------------------------------
@@ -316,12 +315,6 @@ class DivisibilityTable:
 
     def leq(self, a: MuElement, b: MuElement, n: Optional[int] = None) -> bool:
         return (a, b) in self.relations[self.depth if n is None else n]
-
-
-def divisibility_leq(f: FunctorExpr, n: int, a: MuElement, b: MuElement,
-                     size_cap: Optional[int] = None) -> bool:
-    """The stage-n divisibility preorder on A_n."""
-    return DivisibilityTable(f, n, size_cap).leq(a, b)
 
 
 def check_preorder_stability(f: FunctorExpr, n: int,
@@ -401,8 +394,6 @@ class UnfoldExpander:
     `space` is the ambient space and `to_point` converts elements to its
     points."""
 
-    name = "unfold"
-
     def __init__(self, functor: FunctorExpr):
         self.functor = functor
         self.space, self.to_point, self._menu = _unfold_shape(functor)
@@ -411,29 +402,25 @@ class UnfoldExpander:
         return self._menu(sources)
 
 
-def div_exp_generators(f: FunctorExpr,
-                       sources: Sequence[OpenExpr]) -> List[OpenExpr]:
-    """Generators of the unfold rule: the substructure-upward closure of the
-    one-step image of each subbasic open of the lifted topology."""
-    return UnfoldExpander(f).fresh_generators(sources)
-
-
 # -- textual functor grammar (see sexpr) ---------------------------------------
 
 
 def parse_functor(expr) -> FunctorExpr:
+    """A functor from its text, which is read first, or from a read form."""
+    return _parse_functor(read(expr) if isinstance(expr, str) else expr)
+
+
+def _parse_functor(expr) -> FunctorExpr:
     if isinstance(expr, str):
         if expr == "unit":
             return UnitF()
         if expr == "id":
             return IdF()
-        if "(" in expr:
-            return parse_functor(read(expr))
         raise SexprError("unknown functor token %r" % expr)
     if not expr or not isinstance(expr[0], str):
         raise SexprError("expected a functor form, got %r" % (expr,))
     if expr[0] == "mu":
-        return parse_functor(shaped(expr, "(mu F)")[1])
+        return _parse_functor(shaped(expr, "(mu F)")[1])
     if expr[0] == "fin":
         return ConstF(parse_space(expr))
     return parse_row(expr, _FUNCTORS, "functor")
@@ -447,7 +434,7 @@ def _print_const(f: ConstF) -> str:
 
 _FUNCTORS = grammar((ConstF, "(const S)"), (SumF, "(sum F G)"),
                     (ProdF, "(prod F G)"), (ListF, "(list F)"),
-                    F=parse_functor, G=parse_functor)
+                    F=_parse_functor, G=_parse_functor)
 PRINTERS.update({UnitF: lambda f: "unit", IdF: lambda f: "id",
                  ConstF: _print_const})
 print_functor = print_term

@@ -17,7 +17,7 @@ and the takes of ordinal products (`_match_product`) in `sets`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 
 class OrdinalError(ValueError):
@@ -83,23 +83,13 @@ class Ordinal:
         return Ordinal(self.terms[:-1])
 
     # -- total order ---------------------------------------------------------
+    # a > b and a >= b are answered by the reflected b < a and b <= a.
 
     def __lt__(self, other: "Ordinal") -> bool:
         return cmp(self, other) < 0
 
     def __le__(self, other: "Ordinal") -> bool:
         return cmp(self, other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return cmp(self, other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return cmp(self, other) >= 0
-
-    def __add__(self, other: Union["Ordinal", int]) -> "Ordinal":
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        return add(self, other)
 
     def __str__(self) -> str:
         return format_ordinal(self)

@@ -1060,7 +1060,10 @@ def complement_ordinal_product(space: SpaceExpr, p: OrdProduct) -> OpenExpr:
 def rtimes_rewrite(space: SpaceExpr, f: ClosedExpr, u: OpenExpr) -> OpenExpr:
     """Rewrite F |x U into generator form for the three supported U shapes:
     a one-letter pattern <W>, a concatenation closure UV, and a triangle.
-    Other shapes raise RewriteShapeError (callers fall back to extents)."""
+    With W^c the base complement of F, a triangle b |> U rewrites to
+    <W^c>.(b |> U) at a limit b, to <W^c>.(b-1 |> U) at a successor b >= 2,
+    and to <W^c>.U at 1: the rest must still lie in U, though 0 |> U is the
+    whole space.  Other shapes raise RewriteShapeError (callers use extents)."""
     base = _word_space_base(space)
     fc = base_complement(base, f)
     u = normalize_open(u)
@@ -1079,10 +1082,8 @@ def rtimes_rewrite(space: SpaceExpr, f: ClosedExpr, u: OpenExpr) -> OpenExpr:
         return normalize_open(ConcatUp(rtimes_rewrite(space, f, u.left), u.right))
     if isinstance(u, Triangle):
         kind, pred = classify(u.beta)
-        if kind == "zero":
-            raise RewriteShapeError("triangle exponent must be positive")
-        beta2 = u.beta if kind == "limit" else pred
-        return normalize_open(
-            ConcatUp(WordOpen((fc,)), Triangle(beta2, u.inner)))
+        rest = (u if kind == "limit" else
+                u.inner if pred.is_zero() else Triangle(pred, u.inner))
+        return normalize_open(ConcatUp(WordOpen((fc,)), rest))
     raise RewriteShapeError("unsupported shape for the prefix-guard rewrite: %r"
                             % (u,))

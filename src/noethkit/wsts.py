@@ -54,7 +54,6 @@ class FuelExhausted(WstsError):
 class CounterTrace:
     states: Tuple[Tuple[int, int, int], ...]
     stopping_rule: str
-    schedule_name: str
 
 
 COUNTER_RULES: Dict[str, Callable[[Tuple[int, int, int]], Tuple[int, int, int]]] = {
@@ -63,15 +62,15 @@ COUNTER_RULES: Dict[str, Callable[[Tuple[int, int, int]], Tuple[int, int, int]]]
 }
 
 
-def make_schedule(text: str) -> Tuple[str, Callable[[int], str]]:
+def make_schedule(text: str) -> Callable[[int], str]:
     """A rule schedule: a nonempty string over {l, r} cycled forever, or
     "random:SEED" for a seeded coin."""
     if text.startswith("random:"):
         rng = random.Random(int(text.split(":", 1)[1]))
-        return text, lambda i: rng.choice("lr")
+        return lambda i: rng.choice("lr")
     if not text or set(text) - {"l", "r"}:
         raise WstsError("schedule must be over {l, r} or random:SEED")
-    return text, lambda i: text[i % len(text)]
+    return lambda i: text[i % len(text)]
 
 
 def run_counter_machine(start: Tuple[int, int, int], schedule: str = "lr",
@@ -82,7 +81,7 @@ def run_counter_machine(start: Tuple[int, int, int], schedule: str = "lr",
     a goodness violation is treated as an engine bug."""
     if min(start) < 0:
         raise WstsError("start state must be non-negative")
-    name, pick = make_schedule(schedule)
+    pick = make_schedule(schedule)
     states = [start]
     state = start
     stopping = ""
@@ -100,7 +99,7 @@ def run_counter_machine(start: Tuple[int, int, int], schedule: str = "lr",
     bad_violation = _first_good_pair(trace)
     if bad_violation is not None:
         raise WstsError("trace is not a bad sequence at %r" % (bad_violation,))
-    return CounterTrace(trace, stopping, name)
+    return CounterTrace(trace, stopping)
 
 
 def _first_good_pair(states) -> Optional[Tuple[int, int]]:
@@ -109,16 +108,6 @@ def _first_good_pair(states) -> Optional[Tuple[int, int]]:
             if all(x <= y for x, y in zip(states[i], states[j])):
                 return (i, j)
     return None
-
-
-# -- generic upward-closed state sets ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpwardSet:
-    """An upward-closed set of states given by a finite basis antichain."""
-
-    basis: Tuple
 
 
 # -- vector addition systems -------------------------------------------------------
@@ -136,8 +125,6 @@ class VASRule:
 
 class VAS:
     """Vector addition system with guards over natural-number vectors."""
-
-    family = "vas"
 
     def __init__(self, places: int, rules: Sequence[VASRule]):
         if places < 1:
@@ -190,8 +177,6 @@ class ChannelRule:
 class LossyChannelSystem:
     """Control locations with one lossy FIFO channel: sends append, receives
     consume the head, and the channel may silently drop letters."""
-
-    family = "lossy"
 
     def __init__(self, locations: Sequence[str], alphabet: Sequence[str],
                  rules: Sequence[ChannelRule]):
@@ -267,17 +252,13 @@ class LossyChannelSystem:
 class CoverabilityResult:
     verdict: str  # "coverable" | "uncoverable"
     witness_length: Optional[int]
+    # On an uncoverable verdict the complement of the basis's up-closure is
+    # an inductive invariant containing `init`.
     basis: Tuple
     rounds: int
     inserted: int
     goodness_index: Optional[int]
     goodness_via: Optional[str]
-
-    @property
-    def invariant(self) -> UpwardSet:
-        """On an uncoverable verdict, the complement of this upward-closed
-        set is an inductive invariant containing the initial state."""
-        return UpwardSet(self.basis)
 
 
 def backward_coverability(system, init, targets,

@@ -207,7 +207,7 @@ def test_criterion_4_respects_subsets_contrast():
                 if picked else WholeC()
             report = check_respects_subsets(expander, stage, h, bound=bound,
                                             cap=cap)
-            assert report.equal, (expander.name, trial)
+            assert report.equal, (type(expander).__name__, trial)
     assert time.monotonic() - start < 60.0
 
 

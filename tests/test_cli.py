@@ -244,6 +244,21 @@ class TestDivisibility:
             "--depth", "3", "--check", "embedding", "--size-cap", "6")
         assert code == 0 and doc["equal"] is True
 
+    def test_functor_text_is_read(self, capsys):
+        # Whitespace around a token is the reader's, as for points.
+        argv = ["--depth", "1", "--check", "stability"]
+        assert (run_cli(capsys, "divisibility", " unit", *argv)
+                == run_cli(capsys, "divisibility", "unit", *argv))
+
+    @pytest.mark.parametrize("text, error", [
+        ("id)", "trailing input (line 1, column 3)"),
+        ("unit id", "trailing input (line 1, column 6)"),
+        ("", "unexpected end of input")])
+    def test_functor_syntax_error_is_the_readers(self, capsys, text, error):
+        code, doc = run_cli(capsys, "divisibility", text, "--depth", "1",
+                            "--check", "stability")
+        assert code == 2 and doc == {"error": error, "kind": "syntax"}
+
 
 WORDS = "(words (fin a b))"
 ONE_PLACE = {"family": "vas", "places": 1,
@@ -298,6 +313,23 @@ MALFORMED = [
     pytest.param(["cover", "SYSTEM"],
                  two_locations(target=[{"location": "q9", "channel": []}]), 1,
                  id="target-location-unknown"),
+    pytest.param(["cover", "SYSTEM"], one_place(places=0), 1,
+                 id="places-zero"),
+    pytest.param(["cover", "SYSTEM"],
+                 one_place(rules=[{"guard": [0, 0], "delta": [1]}]), 1,
+                 id="rule-arity"),
+    pytest.param(["cover", "SYSTEM"], one_place(family="petri"), 1,
+                 id="family-unknown"),
+    pytest.param(["cover", "SYSTEM"], one_place(target=[]), 1,
+                 id="target-empty"),
+    *(pytest.param(["cover", "SYSTEM"], two_locations(rules=[dict(
+        {"from": "q0", "op": "send", "letter": "a", "to": "q1"}, **rule)]),
+        1, id="lossy-rule-" + name)
+      for name, rule in [("location-unknown", {"to": "q9"}),
+                         ("op-unknown", {"op": "push"}),
+                         ("letter-on-nop", {"op": "nop"}),
+                         ("send-without-letter", {"letter": None}),
+                         ("letter-unknown", {"letter": "b"})]),
     pytest.param(["eval", "extent", "(whole)", "--space", WORDS,
                   "--bound", "-1"], None, 1, id="bound-negative"),
     pytest.param(["iterate", "subword", "--steps", "2", "--cap", "-5"],
@@ -342,6 +374,10 @@ MALFORMED = [
                  id="ordword-run-short"),
     pytest.param(["divisibility", "(list)", "--depth", "1",
                   "--check", "stability"], None, 2, id="list-short"),
+    *(pytest.param(["divisibility", text, "--depth", "1",
+                    "--check", "stability"], None, 2, id="functor-" + name)
+      for name, text in [("unopened-paren", "id)"), ("two-tokens", "unit id"),
+                         ("empty", "")]),
     pytest.param(["eval", "member", "(word a)", "(whole junk)",
                   "--space", WORDS], None, 2, id="whole-with-argument"),
     pytest.param(["eval", "member", "(word a)", "--space", WORDS], None,

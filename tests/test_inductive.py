@@ -24,8 +24,6 @@ from noethkit.inductive import (
     UnitF,
     _FUNCTORS,
     check_preorder_stability,
-    div_exp_generators,
-    divisibility_leq,
     enumerate_mu,
     mu_depth,
     mu_to_tree,
@@ -162,7 +160,8 @@ class TestDivisibility:
             assert got == want, (mu_to_tree(x), mu_to_tree(y))
 
     def test_reflexive(self):
-        assert divisibility_leq(WF, 3, word_to_mu(w("ab")), word_to_mu(w("ab")))
+        table = DivisibilityTable(WF, 3)
+        assert table.leq(word_to_mu(w("ab")), word_to_mu(w("ab")))
 
     def test_stages_conservative(self):
         table = DivisibilityTable(WF, 5)
@@ -211,7 +210,7 @@ class TestStability:
 class TestUnfoldRule:
     def test_word_generators_at_stage_one(self):
         gens = [normalize_open(g)
-                for g in div_exp_generators(WF, [Whole()])]
+                for g in UnfoldExpander(WF).fresh_generators([Whole()])]
         exts = {frozenset(extent(Words(AB), g, 3)) for g in gens}
         contains_a = frozenset(p for p in enumerate_points(Words(AB), 3)
                                if Atom("a") in p.letters)
@@ -222,7 +221,8 @@ class TestUnfoldRule:
 
     def test_empty_source_collapses(self):
         from noethkit.sets import Empty
-        gens = [normalize_open(g) for g in div_exp_generators(WF, [Empty()])]
+        gens = [normalize_open(g)
+                for g in UnfoldExpander(WF).fresh_generators([Empty()])]
         assert all(isinstance(g, (Whole, Empty)) for g in gens)
 
     def test_words_unfold_matches_subword_rule(self):

@@ -666,7 +666,6 @@ class TestRTimesRewrite:
         assert out.right == Triangle(OMEGA, WordOpen((UB,)))
 
     def test_extent_equality_of_rewrites(self):
-        rng = random.Random(29)
         oracle = oracle_for(OWAB, 4)
         closeds = [DownClosure((Atom("a"),)), DownClosure((Atom("b"),))]
         shapes = [
@@ -674,12 +673,13 @@ class TestRTimesRewrite:
             WordOpen((UB,)),
             WordOpen((UA, UB)),
             ConcatUp(WordOpen((UA,)), WordOpen((UB, UB))),
+            Triangle(ONE, WordOpen((UA,))),
+            Triangle(ONE, WordOpen((UB,))),
             Triangle(Ordinal.from_int(2), WordOpen((UB,))),
             Triangle(OMEGA, WordOpen((UA,))),
+            ConcatUp(Triangle(ONE, WordOpen((UA,))), WordOpen((UB,))),
         ]
-        for _ in range(30):
-            f = rng.choice(closeds)
-            u = rng.choice(shapes)
+        for f, u in itertools.product(closeds, shapes):
             rewript = rtimes_rewrite(OWAB, f, u)
             assert oracle.extent(rewript) == oracle.extent(RTimes(f, u)), (f, u)
 

@@ -118,7 +118,7 @@ class TestVAS:
         vas = VAS(2, [VASRule((0, 1), (1, -1))])
         result = backward_coverability(vas, (0, 1), [(2, 0)])
         assert result.verdict == "uncoverable"
-        assert all(not vas.leq(b, (0, 1)) for b in result.invariant.basis)
+        assert all(not vas.leq(b, (0, 1)) for b in result.basis)
 
     def test_goodness_certificate_present(self):
         vas = VAS(2, [VASRule((1, 0), (-1, 1)), VASRule((0, 1), (1, -1))])
