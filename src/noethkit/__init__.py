@@ -14,9 +14,10 @@ __version__ = "0.1.0"
 def cache_stats() -> dict:
     """Sizes of the process-wide memos: the `cache_info()` of the point
     order (`space._leq`), of enumeration (`space._enumerate`), of
-    `sets.open_key` and, under `parse`, of the three text parsers; and one
+    `sets.open_key` and, under `parse`, of the three text parsers; one
     entry per extent oracle with its space, bound, universe size, memo entry
-    counts and the number of up-table entries built."""
+    counts and the size of each index table (see `sets.ExtentOracle`); and
+    the most oracles kept at once."""
     from . import sets, sexpr, space
     return {
         "leq": space._leq.cache_info(),
@@ -29,8 +30,13 @@ def cache_stats() -> dict:
             {"space": o.space, "bound": o.bound, "universe": len(o.universe),
              "open": len(o._open), "closed": len(o._closed),
              "minimal": len(o._minimal),
-             "up_entries": sum(e is not None for e in o._up)}
+             "up_entries": sum(e is not None for e in o._up),
+             "glue_entries": len(o._glue),
+             "suffix_rows": sum(map(len, o._suffixes.values())),
+             "prepend_rows": sum(map(len, o._prepends.values())),
+             "upward_verdicts": len(o._upward)}
             for o in sets._ORACLES.values()],
+        "max_oracles": sets.MAX_ORACLES,
     }
 
 

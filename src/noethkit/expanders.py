@@ -35,6 +35,7 @@ from .sets import (
     lattice_contains,
     meet_table,
     normalize_open,
+    normalize_opens,
     open_key,
     oracle_for,
     restrict,
@@ -254,8 +255,7 @@ def apply(expander, stage: TopologyStage, bound: int,
     if getattr(expander, "space", None) != stage.space:
         raise ExpanderError("stage space does not match the expander")
     oracle = oracle_for(stage.space, bound)
-    fresh = [normalize_open(g) for g in expander.fresh_generators(
-        _stage_sources(stage))]
+    fresh = normalize_opens(expander.fresh_generators(_stage_sources(stage)))
     fresh = [g for g in fresh if not isinstance(g, Empty)]
     fresh = sorted({open_key(g): g for g in fresh}.items())
     seen = {oracle.mask(g) for g, _ in stage.generators}
@@ -376,7 +376,7 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
     h_ext = oracle.mask(mark)
 
     sources = _stage_sources(stage)
-    refined = [normalize_open(g) for g in expander.fresh_generators(sources)]
+    refined = normalize_opens(expander.fresh_generators(sources))
     refined_table = meet_table([oracle.mask(g) for g in refined], oracle.full)
     precheck = all(lattice_contains(refined_table, oracle.mask(u))
                    for u in sources)
@@ -390,8 +390,8 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
     restricted_sources = sorted(
         _first_per_extent(restricted_sources, oracle.mask).values(),
         key=open_key)
-    refined_restricted = [normalize_open(g)
-                          for g in expander.fresh_generators(restricted_sources)]
+    refined_restricted = normalize_opens(
+        expander.fresh_generators(restricted_sources))
 
     def cut(g):
         return oracle.mask(g) & h_ext

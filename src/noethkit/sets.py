@@ -9,8 +9,9 @@ F^{<b} / F^{<=1} atoms.
 
 Each constructor is a class holding its meaning: `member(space, p)`, its
 membership; for an open, `normal()`, its own rewrites once its open fields
-are normal (`normalize_open` is the fold); and, where it has one, `mask`,
-an extent rule faster than the default filter by membership.  The closed
+are normal (`normalize_open` is the fold, `normalize_opens` the fold of a
+family that folds each shared subterm object once); and, where it has one,
+`mask`, an extent rule faster than the default filter by membership.  The closed
 twins of Empty, Whole, Union and Intersect take their membership rules, so
 open and closed membership are one recursion.  Adding a constructor takes
 its class with these rules, its place in `OpenExpr` or `ClosedExpr`, and
@@ -25,9 +26,10 @@ about is typechecked once at entry; the points of each closure it reads
 are typechecked once per read, and a point that does not typecheck is a
 domain error.  The universal fallback oracle is `extent`: an enumerated
 finite universe held as an int bitmask, where up-closures are read from
-the up table of the point order and every other set is built from its
-parts' masks or filtered by membership, with lattice questions decided
-by `meet_table`.
+the up table of the point order, the word rules (concatenation, suffix
+triangle, prefix cylinder) from index tables over universe indices (see
+`ExtentOracle`), and every other set is built from its parts' masks or
+filtered by membership, with lattice questions decided by `meet_table`.
 `includes` is three-valued, with two exact fragments (unions of upward
 closures, and the letter-pattern inclusion rule) and an extent fallback
 that records its bound.
@@ -275,8 +277,7 @@ class WordOpen(_Set):
     def mask(self, oracle) -> int:
         if len(self.parts) > 1 and isinstance(oracle.space, (Words, OrdWords)):
             base = oracle_for(oracle.space.base, oracle.bound)
-            if all(lattice_contains(base._ups(m), m)
-                   for m in map(base.mask, self.parts)):
+            if all(map(base._upward_closed, map(base.mask, self.parts))):
                 # <U1,...,Un> = up(<U1> <U2,...,Un>) when every Ui is upward
                 # closed in the base; the tails are memoized as they recur.
                 return oracle.mask(ConcatUp(WordOpen(self.parts[:1]),
@@ -310,8 +311,7 @@ class ConcatUp(_Set):
         # side suffices.
         right = oracle._minimals(oracle.mask(self.right))
         left = oracle._minimals(oracle.mask(self.left))
-        return oracle._up_of(oracle.mask_of(
-            oracle.space.glue(u, v) for u in left for v in right))
+        return oracle._up_of(oracle._glued(left, right))
 
     def normal(self):
         if isinstance(self.left, Whole):
@@ -355,27 +355,16 @@ class Triangle(_Set):
 
     def member(self, space, p) -> bool:
         return all(self.inner.member(space, s)
-                   for s in self._suffixes(space, p))
+                   for s in _suffixes_past(space, p, self.beta))
 
-    def _suffixes(self, space, p):
-        """The suffixes of p past every position < beta, as points."""
-        _word_space_base(space)  # a word space, or the domain error
-        return map(space.point,
-                   ow_suffixes_strictly_after(space.runs(p), self.beta))
-
-    # Suffixes looked up in the inner mask: filtering by membership instead
-    # took the bench `restrict` wall_s up by 30-60%.
+    # Suffix rows read against the inner mask: filtering by membership
+    # instead took the bench `restrict` wall_s up by 30-60%.
     def mask(self, oracle) -> int:
         if not isinstance(oracle.space, (Words, OrdWords)):
             return super().mask(oracle)
-        inner = oracle.mask(self.inner)
-
-        def inside(q):
-            i = oracle.index.get(q)
-            return i is not None and inner >> i & 1
-
-        return oracle._filter(lambda p: all(
-            map(inside, self._suffixes(oracle.space, p))))
+        outside = ~oracle.mask(self.inner)
+        return _mask_where([not row & outside
+                            for row in oracle._suffix_rows(self.beta)])
 
     def normal(self):
         if self.beta.is_zero() or isinstance(self.inner, Whole):
@@ -428,10 +417,14 @@ class PrefixConcat(_Set):
                 and isinstance(oracle.space, Words)):
             return super().mask(oracle)
         base = oracle_for(oracle.space.base, oracle.bound)
-        letters = base.points(base.mask(self.letters))
-        rest = oracle.points(oracle.mask(self.rest))
-        return oracle.mask_of(Word((a,) + w.letters) for a in letters
-                              for w in rest)
+        rest = list(_bits(oracle.mask(self.rest)))
+        out = 0
+        for letter in base.points(base.mask(self.letters)):
+            row = oracle._prepend_row(letter)
+            for i in rest:
+                if row[i] >= 0:
+                    out |= 1 << row[i]
+        return out
 
 
 @dataclass(frozen=True)
@@ -576,6 +569,12 @@ def _word_space_base(space):
     raise SetError("word operation over non-word space %r" % (space,))
 
 
+def _suffixes_past(space, p, beta: Ordinal):
+    """The suffixes of the word p past every position < beta, as points."""
+    _word_space_base(space)  # a word space, or the domain error
+    return map(space.point, ow_suffixes_strictly_after(space.runs(p), beta))
+
+
 def _match_product(base, atoms, word: OrdWord) -> bool:
     """Split search: can `word` be written as consecutive chunks matching the
     atom list, with an ordinal length bound `beta` per atom?"""
@@ -633,6 +632,9 @@ def open_key(u: OpenExpr):
 _OPEN_FIELDS = {cls: tuple(
     (f.name, {"OpenExpr": False, "Tuple[OpenExpr, ...]": True}.get(f.type))
     for f in fields(cls)) for cls in get_args(OpenExpr)}
+# The open constructors with no open field, whose normal form is their own.
+_LEAF_OPENS = frozenset(cls for cls, opens in _OPEN_FIELDS.items()
+                        if all(many is None for _, many in opens))
 
 
 def normalize_open(u: OpenExpr) -> OpenExpr:
@@ -640,22 +642,45 @@ def normalize_open(u: OpenExpr) -> OpenExpr:
     normalised; a strict constructor with an empty one is empty; otherwise
     its class's `normal` rule rewrites it.  Closed sets and product atoms
     are left as they are."""
-    opens = _OPEN_FIELDS.get(type(u))
+    return _normal_step(u, normalize_open)
+
+
+def normalize_opens(family: Iterable[OpenExpr]) -> List[OpenExpr]:
+    """`normalize_open` of each open of a family, folding each subterm
+    object once however many opens embed it (a generator family embeds the
+    same stage sources over and over).  The memo holds every term it is
+    keyed on, so no id is reused while it lives."""
+    memo: Dict[int, Tuple[OpenExpr, OpenExpr]] = {}
+
+    def fold(u):
+        got = memo.get(id(u))
+        if got is None:
+            got = memo[id(u)] = (u, _normal_step(u, fold))
+        return got[1]
+
+    return [fold(u) for u in family]
+
+
+def _normal_step(u, norm):
+    """The normal form of u, with `norm` normalising its open fields."""
+    cls = type(u)
+    if cls in _LEAF_OPENS:
+        return u.normal()
+    opens = _OPEN_FIELDS.get(cls)
     if opens is None:
         return u
     args, kids = [], []
     for name, many in opens:
         arg = getattr(u, name)
         if many is not None:
-            arg = (tuple(map(normalize_open, arg)) if many
-                   else normalize_open(arg))
+            arg = tuple(map(norm, arg)) if many else norm(arg)
             kids.extend(arg if many else (arg,))
         args.append(arg)
     if not kids:
         return u.normal()
     if u.strict and any(isinstance(kid, Empty) for kid in kids):
         return Empty()
-    return type(u)(*args).normal()
+    return cls(*args).normal()
 
 
 # -- extent oracle ------------------------------------------------------------
@@ -670,15 +695,35 @@ def _bits(mask: int):
         i = text.find("1", i + 1)
 
 
+def _mask_where(flags: List[bool]) -> int:
+    """The mask whose bit i is set exactly when flags[i] is true."""
+    return int("".join("1" if f else "0" for f in reversed(flags)) or "0", 2)
+
+
 class ExtentOracle:
     """Brute-force extents over an enumerated universe, memoized per expr.
 
     An extent is an int bitmask over the universe: bit i stands for
     `universe[i]`.  Each set class computes its own mask (`mask`): from
-    its parts' masks, from the up table of the point order, or by the
-    default pass of membership over the universe.  Universe points
-    typecheck by construction, so the oracle calls the memoised point
-    order `_leq` without `point_leq`'s checks."""
+    its parts' masks, from the tables below, or by the default pass of
+    membership over the universe.  Universe points typecheck by
+    construction, so the oracle calls the memoised point order `_leq`
+    without `point_leq`'s checks.
+
+    The word rules read the universe through index tables, filled on first
+    read, keyed by ints and holding ints, so that a rule builds a point at
+    most once per oracle.  With n = |U| points, the bound of each table:
+    - `_up`: entry i is the mask of the points above point i; n entries.
+    - `_minimal`: the indices of the minimal points of a mask; one entry
+      per mask read.
+    - `_glue`: entry i*n + j is the index of the glue of points i and j,
+      or -1 when it is outside the universe; at most n*n entries.
+    - `_suffixes`: per exponent b, row i is the mask of the suffixes
+      of point i past every position < b; n rows per exponent.
+    - `_prepends`: per base letter a, entry i is the index of the word
+      a.(point i), or -1; n entries per letter.
+    - `_upward`: whether a mask is upward closed; one verdict per mask
+      read (the word rules ask it of the masks of base opens)."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
@@ -688,8 +733,12 @@ class ExtentOracle:
         self.full = (1 << len(self.universe)) - 1
         self._open: Dict[OpenExpr, int] = {}
         self._closed: Dict[ClosedExpr, int] = {}
-        self._minimal: Dict[int, Tuple[PointTerm, ...]] = {}
+        self._minimal: Dict[int, Tuple[int, ...]] = {}
         self._up: List[Optional[int]] = [None] * len(self.universe)
+        self._glue: Dict[int, int] = {}
+        self._suffixes: Dict[Ordinal, List[int]] = {}
+        self._prepends: Dict[PointTerm, List[int]] = {}
+        self._upward: Dict[int, bool] = {}
 
     def mask(self, s) -> int:
         # Memoized on the expression itself; structurally equal expressions
@@ -730,15 +779,59 @@ class ExtentOracle:
         up = self._ups(mask)
         return reduce(or_, (up[i] for i in _bits(mask)), 0)
 
-    def _minimals(self, mask: int) -> Tuple[PointTerm, ...]:
-        """The minimal points of a mask, one per equivalence class (the
-        first in enumeration order)."""
-        if mask not in self._minimal:
+    def _upward_closed(self, mask: int) -> bool:
+        """Whether the mask is upward closed in the universe."""
+        got = self._upward.get(mask)
+        if got is None:
+            got = self._upward[mask] = lattice_contains(self._ups(mask), mask)
+        return got
+
+    def _minimals(self, mask: int) -> Tuple[int, ...]:
+        """The indices of the minimal points of a mask, one per equivalence
+        class (the first in enumeration order), in increasing order."""
+        got = self._minimal.get(mask)
+        if got is None:
             universe = self.universe
-            self._minimal[mask] = tuple(universe[i] for i in minimize_basis(
+            got = self._minimal[mask] = minimize_basis(
                 _bits(mask),
-                lambda i, j: _leq(self.space, universe[i], universe[j])))
-        return self._minimal[mask]
+                lambda i, j: _leq(self.space, universe[i], universe[j]))
+        return got
+
+    def _glued(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> int:
+        """The mask of the glues of a point of `left` and one of `right`
+        (indices) that lie in the universe."""
+        n, table, out = len(self.universe), self._glue, 0
+        for i in left:
+            for j in right:
+                k = table.get(i * n + j)
+                if k is None:
+                    glue = self.space.glue(self.universe[i], self.universe[j])
+                    k = table[i * n + j] = self.index.get(glue, -1)
+                if k >= 0:
+                    out |= 1 << k
+        return out
+
+    def _suffix_rows(self, beta: Ordinal) -> List[int]:
+        """Row i is the mask of the suffixes of universe[i] past every
+        position < beta.  The universe is downward closed and holds them."""
+        rows = self._suffixes.get(beta)
+        if rows is None:
+            index = self.index
+            rows = self._suffixes[beta] = [
+                reduce(or_, (1 << index[q] for q in
+                             _suffixes_past(self.space, p, beta)), 0)
+                for p in self.universe]
+        return rows
+
+    def _prepend_row(self, letter: PointTerm) -> List[int]:
+        """Entry i is the index of the word letter.universe[i], or -1 when
+        it is outside the universe (over `Words` only)."""
+        row = self._prepends.get(letter)
+        if row is None:
+            row = self._prepends[letter] = [
+                self.index.get(Word((letter,) + w.letters), -1)
+                for w in self.universe]
+        return row
 
     def points(self, mask: int) -> List[PointTerm]:
         """The points of a mask, in enumeration order."""
@@ -751,14 +844,20 @@ class ExtentOracle:
         return tuple(self.points(self.mask(s)))
 
 
+# The most extent oracles kept at once; the oldest is dropped first.
+MAX_ORACLES = 64
 _ORACLES: Dict[Tuple[SpaceExpr, int], ExtentOracle] = {}
 
 
 def oracle_for(space: SpaceExpr, bound: int) -> ExtentOracle:
     key = (space, bound)
-    if key not in _ORACLES:
-        _ORACLES[key] = ExtentOracle(space, bound)
-    return _ORACLES[key]
+    oracle = _ORACLES.get(key)
+    if oracle is None:
+        oracle = ExtentOracle(space, bound)
+        if len(_ORACLES) >= MAX_ORACLES:
+            del _ORACLES[next(iter(_ORACLES))]
+        _ORACLES[key] = oracle
+    return oracle
 
 
 def extent(space: SpaceExpr, s, bound: int) -> Tuple[PointTerm, ...]:

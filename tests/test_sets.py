@@ -54,6 +54,7 @@ from noethkit.sets import (
     member_closed,
     member_open,
     normalize_open,
+    normalize_opens,
     oracle_for,
     restrict,
     rtimes_rewrite,
@@ -1066,6 +1067,15 @@ class TestMaskOracle:
                             if member_open(WAB, p, u))
         assert oracle.extent(u) == frozenset(got)
 
+    @settings(max_examples=60, deadline=None)
+    @given(WORD_OPENS)
+    def test_word_extents_match_membership_at_the_prefix_bound(self, u):
+        # Bound 6 (127 words) is the prefix bound of the bench `restrict`
+        # workload, where PrefixConcat reads its prepend rows.
+        oracle = oracle_for(WAB, 6)
+        assert len(oracle.universe) == 127
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
 
 # Points of (ordwords (fin a b) w*2) with runs of length 1, 2 and w.
 OMEGA_RUN_POINTS = st.lists(
@@ -1156,6 +1166,44 @@ class TestNormalForm:
         p = ow(("a", OMEGA))
         assert member_open(OWAB, p, normalize_open(u))
         assert member_open(OWAB, p, u)
+
+
+@st.composite
+def shared_families(draw, opens, word_shapes: bool):
+    """A family of opens that embed each other as subterm objects: drawn
+    opens, then opens built over objects already in the family."""
+    family = draw(st.lists(opens, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 5))):
+        pick = st.sampled_from(list(family))
+        shapes = [_nary(pick, Union, Intersect), pick.map(UpSubstructure)]
+        if word_shapes:
+            shapes += [st.builds(ConcatUp, pick, pick),
+                       st.builds(Triangle, BETAS, pick),
+                       st.builds(PrefixConcat, LETTERS, pick),
+                       st.lists(pick, max_size=3).map(
+                           lambda ps: WordOpen(tuple(ps)))]
+        family.append(draw(st.one_of(*shapes)))
+    return family
+
+
+class TestFamilyFold:
+    """`normalize_opens` is `normalize_open` on each open of a family."""
+
+    @pytest.mark.parametrize("opens, word_shapes", [
+        (_normal_word_opens(WORD_POINTS, True), True),
+        (_normal_word_opens(OMEGA_RUN_POINTS, False), True),
+        (TREE_NORMAL_OPENS, False)], ids=["words", "ordwords", "trees"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_family_fold_is_the_fold_of_each(self, opens, word_shapes, data):
+        family = data.draw(shared_families(opens, word_shapes))
+        assert normalize_opens(family) == [normalize_open(u) for u in family]
+
+    def test_an_open_met_twice_is_one_answer(self):
+        u = Union((WordOpen((UA,)), Empty()))
+        got = normalize_opens([u, ConcatUp(u, u), u])
+        assert got == [WordOpen((UA,)), WordOpen((UA, UA)), WordOpen((UA,))]
+        assert got[0] is got[2]
 
 
 # Ordinal words with an infinite run, each with its suffixes (the words
@@ -1379,6 +1427,113 @@ class TestClosureMaskCost:
         assert up_entries() == [len(points)]
 
 
+class TestIndexTableCost:
+    """Count guards: the word rules of the extent oracle build each point
+    of their index tables once per oracle, and a stage folds each subterm
+    object of its generator family once."""
+
+    def test_second_triangle_with_the_same_exponent_builds_no_suffix(
+            self, monkeypatch):
+        from noethkit import sets as sets_mod
+        import noethkit
+        noethkit.clear_caches()
+        oracle = oracle_for(OWAB, 4)
+        inner_b = WordOpen((UB,))
+        oracle.mask(inner_b)
+        calls = 0
+        suffixes = sets_mod.ow_suffixes_strictly_after
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return suffixes(*args)
+
+        monkeypatch.setattr(sets_mod, "ow_suffixes_strictly_after", counting)
+        oracle.mask(Triangle(OMEGA, WordOpen((UA,))))
+        assert calls == len(oracle.universe)
+        oracle.mask(Triangle(OMEGA, inner_b))
+        assert calls == len(oracle.universe)
+
+    def test_concat_up_over_glued_minimal_sides_calls_no_glue(
+            self, monkeypatch):
+        import noethkit
+        noethkit.clear_caches()
+        oracle = oracle_for(WAB, 4)
+        left, right = UpClosure((w("a"),)), UpClosure((w("b"), w("ba")))
+        oracle.mask(left), oracle.mask(right)
+        calls = 0
+        glue = Words.glue
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return glue(*args)
+
+        monkeypatch.setattr(Words, "glue", counting)
+        oracle.mask(ConcatUp(WordOpen((UA,)), WordOpen((UB,))))
+        assert calls == 1
+        # Other sides with the same extents, so the same minimal points.
+        oracle.mask(ConcatUp(left, right))
+        assert calls == 1
+
+    def test_repeated_prefix_concat_builds_no_word(self, monkeypatch):
+        import noethkit
+        noethkit.clear_caches()
+        oracle = oracle_for(WAB, 4)
+        rests = (Whole(), WordOpen((UB,)), UpClosure((w("ab"),)))
+        for rest in rests:
+            oracle.mask(rest)
+        oracle.mask(PrefixConcat(BaseOpen(frozenset("ab")), Whole()))
+        calls = 0
+        init = Word.__init__
+
+        def counting(self, *args):
+            nonlocal calls
+            calls += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Word, "__init__", counting)
+        for letters in (UA, UB, BaseOpen(frozenset("ab"))):
+            for rest in rests[1:]:
+                oracle.mask(PrefixConcat(letters, rest))
+        assert calls == 0
+
+    def test_subword_stage_folds_each_subterm_object_once(self, monkeypatch):
+        from noethkit.expanders import SubwordExpander, apply, iterate
+        expander = SubwordExpander(AB)
+        stage = iterate(expander, 2, bound=3).stages[-1]
+        families = []
+        emit = expander.fresh_generators
+
+        def recording(sources):
+            families.append(emit(sources))
+            return families[-1]
+
+        monkeypatch.setattr(expander, "fresh_generators", recording)
+        calls = 0
+        for cls in get_args(OpenExpr):
+            def counting(self, normal=vars(cls)["normal"]):
+                nonlocal calls
+                calls += 1
+                return normal(self)
+            monkeypatch.setattr(cls, "normal", counting)
+        apply(expander, stage, bound=3)
+        [family] = families
+        objects, sizes = {}, 0
+        stack = list(family)
+        while stack:
+            u = stack.pop()
+            sizes += 1
+            if id(u) not in objects:
+                objects[id(u)] = u
+                for name, many in _OPEN_FIELDS[type(u)]:
+                    if many is not None:
+                        kids = getattr(u, name)
+                        stack.extend(kids if many else (kids,))
+        # One normal() per distinct object, far fewer than one per place.
+        assert calls == len(objects) < sizes / 2
+
+
 class TestCacheInspection:
     def test_extent_shows_in_stats_and_clear_resets(self):
         import noethkit
@@ -1411,3 +1566,52 @@ class TestCacheInspection:
         noethkit.clear_caches()
         parse = noethkit.cache_stats()["parse"]
         assert all(info.currsize == 0 for info in parse.values())
+
+    def test_index_tables_show_in_stats_and_clear_resets(self):
+        import noethkit
+        tables = ("glue_entries", "suffix_rows", "prepend_rows",
+                  "upward_verdicts")
+
+        def entry(space, bound):
+            [got] = [o for o in noethkit.cache_stats()["oracles"]
+                     if (o["space"], o["bound"]) == (space, bound)]
+            return got
+
+        noethkit.clear_caches()
+        words, ordwords = oracle_for(WAB, 3), oracle_for(OWAB, 3)
+        words.mask(ConcatUp(WordOpen((UA,)), WordOpen((UB,))))
+        words.mask(PrefixConcat(UA, Whole()))
+        words.mask(WordOpen((UA, UB)))
+        ordwords.mask(Triangle(OMEGA, WordOpen((UA,))))
+        n = len(words.universe)
+        # One glue for the one minimal word of each side (<a,b> decomposes
+        # into the same sides), one prepend row, one suffix row per ordinal
+        # word, one verdict per letter mask.
+        assert {t: entry(WAB, 3)[t] for t in tables} == {
+            "glue_entries": 1, "suffix_rows": 0, "prepend_rows": n,
+            "upward_verdicts": 0}
+        assert entry(OWAB, 3)["suffix_rows"] == len(ordwords.universe)
+        assert entry(AB, 3)["upward_verdicts"] == 2
+        noethkit.clear_caches()
+        assert noethkit.cache_stats()["oracles"] == []
+        oracle_for(WAB, 3)
+        assert all(entry(WAB, 3)[t] == 0 for t in tables)
+
+    def test_oracles_are_bounded_oldest_first(self):
+        import noethkit
+        noethkit.clear_caches()
+        limit = noethkit.cache_stats()["max_oracles"]
+        assert limit == noethkit.sets.MAX_ORACLES
+
+        def bounds():
+            return [o["bound"] for o in noethkit.cache_stats()["oracles"]]
+
+        for bound in range(limit + 2):
+            oracle_for(Nat(), bound)
+        assert bounds() == list(range(2, limit + 2))
+        # A kept oracle is read back, not rebuilt, and keeps its place.
+        kept = oracle_for(Nat(), 2)
+        assert oracle_for(Nat(), 2) is kept
+        oracle_for(Nat(), limit + 2)
+        assert bounds() == list(range(3, limit + 3))
+        noethkit.clear_caches()
