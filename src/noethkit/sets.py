@@ -11,11 +11,11 @@ Each constructor is a class holding its meaning: `member(space, p)`, its
 membership; for an open, `normal()`, its own rewrites once its open fields
 are normal (`normalize_open` is the fold, `normalize_opens` the fold of a
 family that folds each shared subterm object once); and, where it has one,
-`mask`, an extent rule faster than the default filter by membership.  The closed
-twins of Empty, Whole, Union and Intersect take their membership rules, so
-open and closed membership are one recursion.  Adding a constructor takes
-its class with these rules, its place in `OpenExpr` or `ClosedExpr`, and
-one `sexpr` grammar row.  Word and tree points are read only through the
+`mask`, an extent rule faster than the default filter by membership.  The
+closed twins of Empty, Whole, Union and Intersect take their membership
+rules, so open and closed membership are one recursion.  Adding a
+constructor takes its class with these rules, its place in `OpenExpr` or
+`ClosedExpr`, and one `sexpr` grammar row.  Word and tree points are read only through the
 rules of their space (see `space`), never by their point class.
 
 Membership is structural recursion, exact except for ConcatUp on ordinal
@@ -632,7 +632,7 @@ def open_key(u: OpenExpr):
 _OPEN_FIELDS = {cls: tuple(
     (f.name, {"OpenExpr": False, "Tuple[OpenExpr, ...]": True}.get(f.type))
     for f in fields(cls)) for cls in get_args(OpenExpr)}
-# The open constructors with no open field, whose normal form is their own.
+# The open constructors with no open field: their fold is their `normal`.
 _LEAF_OPENS = frozenset(cls for cls, opens in _OPEN_FIELDS.items()
                         if all(many is None for _, many in opens))
 
@@ -760,9 +760,7 @@ class ExtentOracle:
 
     def _filter(self, keep) -> int:
         """The mask of the universe points satisfying `keep`."""
-        bits = "".join("1" if keep(p) else "0"
-                       for p in reversed(self.universe))
-        return int(bits or "0", 2)
+        return _mask_where(list(map(keep, self.universe)))
 
     def _ups(self, mask: int) -> List[Optional[int]]:
         """The up table, the meet table of the upward-closed sets: entry i
