@@ -13,15 +13,13 @@ __version__ = "0.1.0"
 
 def cache_stats() -> dict:
     """Sizes of the process-wide memos: the `cache_info()` of the point
-    order (`space._leq`), of enumeration (`space._enumerate`), of
-    `sets.open_key` and, under `parse`, of the three text parsers; one
-    entry per extent oracle with its space, bound, universe size, memo entry
-    counts and the size of each index table (see `sets.ExtentOracle`); and
-    the most oracles kept at once."""
+    order (`space._leq`), of `sets.open_key` and, under `parse`, of the
+    three text parsers; one entry per extent oracle with its space, bound,
+    universe size, memo entry counts and the size of each index table (see
+    `sets.ExtentOracle`); and the most oracles kept at once."""
     from . import sets, sexpr, space
     return {
         "leq": space._leq.cache_info(),
-        "enumerate": space._enumerate.cache_info(),
         "open_key": sets.open_key.cache_info(),
         "parse": {"space": sexpr.parse_space.cache_info(),
                   "point": sexpr.parse_point.cache_info(),
@@ -43,7 +41,7 @@ def cache_stats() -> dict:
 def clear_caches() -> None:
     """Empty every memo that `cache_stats` reports."""
     from . import sets, sexpr, space
-    for memo in (space._leq, space._enumerate, sets.open_key,
+    for memo in (space._leq, sets.open_key,
                  sexpr.parse_space, sexpr.parse_point, sexpr.parse_set):
         memo.cache_clear()
     sets._ORACLES.clear()

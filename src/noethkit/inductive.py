@@ -319,19 +319,28 @@ class DivisibilityTable:
 
 def check_preorder_stability(f: FunctorExpr, n: int,
                              size_cap: Optional[int] = None) -> bool:
-    """Verify that composing the preorder with the substructure order and
-    closing transitively adds no pairs at stage n.  The substructure order
-    is the identity and the transitive closure of the support pairs; the
-    identity part gives back the preorder's own pairs, so the composition
-    reads the closure only."""
+    """Whether the stage-n relation of the table is the divisibility order
+    on A_n, computed apart by its recursive definition: x <= y iff the
+    lift of <= relates x and y, or x <= c for some c in support(f, y).
+    The lift compares only the identity-position contents of y, the
+    objects `occurrences` lists, so the elements below y are found from
+    those below each of them, read by object identity, one set per
+    element."""
     table = DivisibilityTable(f, n, size_cap)
-    above: dict = {}  # each element's strict superstructures in A_n
-    for b, c in transitive_closure((c, y) for y in table.universe()
-                                   for c in support(f, y)):
-        above.setdefault(b, []).append(c)
-    rel = table.relations[n]
-    composed = rel.union((a, c) for a, b in rel for c in above.get(b, ()))
-    return transitive_closure(composed) == rel
+    universe = table.universe()
+    below: dict = {}
+
+    def down(y) -> FrozenSet[MuElement]:
+        got = below.get(y)
+        if got is None:
+            kids = {id(c): down(c) for c in f.occurrences(y)}
+            base = lambda a, b: a in kids[id(b)]
+            got = below[y] = frozenset(
+                x for x in universe if f.lift(base, x, y)).union(
+                *kids.values())
+        return got
+
+    return {(x, y) for y in universe for x in down(y)} == table.relations[n]
 
 
 # -- conversions to word / tree points --------------------------------------------

@@ -11,12 +11,16 @@ Each constructor is a class holding its meaning: `member(space, p)`, its
 membership; for an open, `normal()`, its own rewrites once its open fields
 are normal (`normalize_open` is the fold, `normalize_opens` the fold of a
 family that folds each shared subterm object once); and, where it has one,
-`mask`, an extent rule faster than the default filter by membership.  The
+`mask`, its extent rule from its parts' masks or the oracle's tables.  The
 closed twins of Empty, Whole, Union and Intersect take their membership
-rules, so open and closed membership are one recursion.  Adding a
-constructor takes its class with these rules, its place in `OpenExpr` or
-`ClosedExpr`, and one `sexpr` grammar row.  Word and tree points are read only through the
-rules of their space (see `space`), never by their point class.
+and mask rules, so open and closed membership are one recursion and open
+and closed extents one algorithm; ComplementOf and CarrierOpen read their
+part's mask.  Only the leaf constructors, with no rule over their parts'
+masks, take the default mask, a filter of the universe by membership.
+Adding a constructor takes its class with these rules, its place in
+`OpenExpr` or `ClosedExpr`, and one `sexpr` grammar row.  Word and tree
+points are read only through the rules of their space (see `space`), never
+by their point class.
 
 Membership is structural recursion, exact except for ConcatUp on ordinal
 words with infinite runs: the remainders that `OrdWords.splits` leaves of
@@ -28,8 +32,9 @@ domain error.  The universal fallback oracle is `extent`: an enumerated
 finite universe held as an int bitmask, where up-closures are read from
 the up table of the point order, the word rules (concatenation, suffix
 triangle, prefix cylinder) from index tables over universe indices (see
-`ExtentOracle`), and every other set is built from its parts' masks or
-filtered by membership, with lattice questions decided by `meet_table`.
+`ExtentOracle`), the Boolean combinations from their parts' masks, and
+the leaf constructors by membership, with lattice questions decided by
+`meet_table`.
 `includes` is three-valued, with two exact fragments (unions of upward
 closures, and the letter-pattern inclusion rule) and an extent fallback
 that records its bound.
@@ -88,8 +93,10 @@ DEFAULT_BOUND = 4
 
 class _Set:
     """Defaults of the constructors: no membership (the product atoms are no
-    sets), and a mask that filters the universe by membership.  Each
-    `member` rule trusts p to typecheck in the space (`member_open` checks)."""
+    sets), and a mask that filters the universe by membership, the extent
+    of the leaf constructors, which have no rule over their parts' masks.
+    Each `member` rule trusts p to typecheck in the space (`member_open`
+    checks)."""
 
     strict = True  # an open with an empty open field is empty
 
@@ -453,6 +460,9 @@ class CarrierOpen(_Set):
     def member(self, space, p) -> bool:
         return self.closed.member(space, p)
 
+    def mask(self, oracle) -> int:
+        return oracle.mask(self.closed)
+
 
 OpenExpr = TUnion[Empty, Whole, Union, Intersect, UpClosure, BaseOpen, Rect,
                   SumOpen, WordOpen, ConcatUp, TreeOpen, Triangle, RTimes,
@@ -464,24 +474,24 @@ OpenExpr = TUnion[Empty, Whole, Union, Intersect, UpClosure, BaseOpen, Rect,
 
 @dataclass(frozen=True)
 class EmptyC(_ClosedSet):
-    member = Empty.member
+    member, mask = Empty.member, Empty.mask
 
 
 @dataclass(frozen=True)
 class WholeC(_ClosedSet):
-    member = Whole.member
+    member, mask = Whole.member, Whole.mask
 
 
 @dataclass(frozen=True)
 class UnionC(_ClosedSet):
     parts: Tuple[ClosedExpr, ...]
-    member = Union.member
+    member, mask = Union.member, Union.mask
 
 
 @dataclass(frozen=True)
 class IntersectC(_ClosedSet):
     parts: Tuple[ClosedExpr, ...]
-    member = Intersect.member
+    member, mask = Intersect.member, Intersect.mask
 
 
 @dataclass(frozen=True)
@@ -500,6 +510,9 @@ class ComplementOf(_ClosedSet):
 
     def member(self, space, p) -> bool:
         return not self.open.member(space, p)
+
+    def mask(self, oracle) -> int:
+        return oracle.full & ~oracle.mask(self.open)
 
 
 @dataclass(frozen=True)
@@ -705,8 +718,10 @@ class ExtentOracle:
 
     An extent is an int bitmask over the universe: bit i stands for
     `universe[i]`.  Each set class computes its own mask (`mask`): from
-    its parts' masks, from the tables below, or by the default pass of
-    membership over the universe.  Universe points typecheck by
+    its parts' masks (a closed twin by its open twin's rule, a complement
+    or a carrier from its part's), from the tables below, or, for a leaf
+    constructor, by the default pass of membership over the universe.
+    Universe points typecheck by
     construction, so the oracle calls the memoised point order `_leq`
     without `point_leq`'s checks.
 

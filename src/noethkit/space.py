@@ -12,7 +12,7 @@ list of (letter, ordinal count) runs with distinct adjacent letters.
 
 Each space class holds its rules `typecheck(p)`, `order(x, y)` (on points
 that typecheck) and `enumerate(bound)`, and each point class `size()`; the
-order and enumeration rules recurse through the memos `_leq` and
+order rules recurse through the memo `_leq`, the enumeration rules through
 `_enumerate`.  Word and tree spaces also hold the layout of their points,
 which the set layer reads: on words `uncons` (the first letter and the
 rest, None when empty), `splits` (the pairs u, v with uv = p),
@@ -726,7 +726,6 @@ def enumerate_points(space: SpaceExpr, size_bound: int) -> Tuple[PointTerm, ...]
                         key=lambda p: (p.size(), canonical_key(p))))
 
 
-@lru_cache(maxsize=None)
 def _enumerate(space: SpaceExpr, bound: int) -> Tuple[PointTerm, ...]:
     return space.enumerate(bound) if bound >= 0 else ()
 

@@ -396,6 +396,11 @@ MALFORMED = [
                  None, 1, id="includes-uncompared-ill-typed"),
     pytest.param(["eval", "includes", "(up (word c))", "(empty)",
                   "--space", WORDS], None, 1, id="includes-ill-typed-left"),
+    pytest.param(["eval", "extent", "(unionc (wholec) (down (word c)))",
+                  "--space", WORDS], None, 1, id="extent-unread-closed-part"),
+    pytest.param(["eval", "extent", "(compl (union (whole) (up (word c))))",
+                  "--space", WORDS], None, 1,
+                 id="extent-complement-unread-part"),
     pytest.param(["eval", "member", "(word a)", "(up (word a) (word c))",
                   "--space", WORDS], None, 1, id="member-up-ill-typed"),
     pytest.param(["eval", "member", "(word a)", "(down (word a) (word c))",

@@ -206,6 +206,21 @@ class TestStability:
     def test_trivial_stage_one(self):
         assert check_preorder_stability(TF, 1, size_cap=6)
 
+    def test_a_pair_dropped_from_a_stage_is_seen(self, monkeypatch):
+        # The check recomputes the order apart from the table, so it sees a
+        # stage-3 table missing (word a) <= (word a b), a pair that no
+        # transitive step and no support pair gives back.
+        close = DivisibilityTable._close
+        pair = (word_to_mu(w("a")), word_to_mu(w("ab")))
+
+        def drop_one(table, universe, prev_rel):
+            rel = close(table, universe, prev_rel)
+            return rel - {pair} if len(table.relations) == 3 else rel
+
+        assert check_preorder_stability(WF, 3)
+        monkeypatch.setattr(DivisibilityTable, "_close", drop_one)
+        assert not check_preorder_stability(WF, 3)
+
 
 class TestUnfoldRule:
     def test_word_generators_at_stage_one(self):
