@@ -14,9 +14,10 @@ __version__ = "0.1.0"
 def cache_stats() -> dict:
     """Sizes of the process-wide memos: the `cache_info()` of the point
     order (`space._leq`), of `sets.open_key` and, under `parse`, of the
-    three text parsers; one entry per extent oracle with its space, bound,
-    universe size, memo entry counts and the size of each index table (see
-    `sets.ExtentOracle`); and the most oracles kept at once."""
+    three text parsers, each with its `maxsize`; one entry per extent
+    oracle with its space, bound, universe size, memo entry counts and the
+    size of each index table (see `sets.ExtentOracle`); and the most
+    oracles kept at once."""
     from . import sets, sexpr, space
     return {
         "leq": space._leq.cache_info(),
@@ -32,6 +33,7 @@ def cache_stats() -> dict:
              "glue_entries": len(o._glue),
              "suffix_rows": sum(map(len, o._suffixes.values())),
              "prepend_rows": sum(map(len, o._prepends.values())),
+             "substructure_rows": len(o._substructures or ()),
              "upward_verdicts": len(o._upward)}
             for o in sets._ORACLES.values()],
         "max_oracles": sets.MAX_ORACLES,

@@ -31,7 +31,8 @@ are typechecked once per read, and a point that does not typecheck is a
 domain error.  The universal fallback oracle is `extent`: an enumerated
 finite universe held as an int bitmask, where up-closures are read from
 the up table of the point order, the word rules (concatenation, suffix
-triangle, prefix cylinder) from index tables over universe indices (see
+triangle, prefix cylinder) and the substructure rules (tree opens,
+substructure closures) from index tables over universe indices (see
 `ExtentOracle`), the Boolean combinations from their parts' masks, and
 the leaf constructors by membership, with lattice questions decided by
 `meet_table`.
@@ -340,15 +341,26 @@ class TreeOpen(_Set):
     normal = _no_rewrite
 
     def member(self, space, p) -> bool:
-        if isinstance(space, Trees):
-            kids_space = Words(space)
-        elif isinstance(space, OrdTrees):
-            kids_space = OrdWords(space, space.alpha)
-        else:
-            raise SetError("TreeOpen needs a tree point")
+        kids_space = _forest_space(space)
         return any(self.root_open.member(space.base, sub.label)
                    and self.children_open.member(kids_space, space.forest(sub))
                    for sub in space.substructures(p))
+
+    # The trees matching at their own root, closed by the substructure rows:
+    # one children test per tree, not one per (tree, subtree) pair.
+    # Filtering this and UpSubstructure by membership instead took the
+    # bench `restrict` wall_s up 1.35-fold.
+    def mask(self, oracle) -> int:
+        space = oracle.space
+        if not isinstance(space, (Trees, OrdTrees)):
+            return super().mask(oracle)
+        kids_space = _forest_space(space)
+        base = oracle_for(space.base, oracle.bound)
+        roots = base.mask(self.root_open)
+        return oracle._with_substructure_in(_mask_where([
+            roots >> base.index[t.label] & 1
+            and self.children_open.member(kids_space, space.forest(t))
+            for t in oracle.universe]))
 
 
 @dataclass(frozen=True)
@@ -445,6 +457,11 @@ class UpSubstructure(_Set):
         if not hasattr(space, "substructures"):
             raise SetError("no substructure order on %r" % (p,))
         return any(self.inner.member(space, s) for s in space.substructures(p))
+
+    def mask(self, oracle) -> int:
+        if not hasattr(oracle.space, "substructures"):
+            return super().mask(oracle)
+        return oracle._with_substructure_in(oracle.mask(self.inner))
 
     def normal(self):
         return Whole() if isinstance(self.inner, Whole) else self
@@ -582,6 +599,15 @@ def _word_space_base(space):
     raise SetError("word operation over non-word space %r" % (space,))
 
 
+def _forest_space(space):
+    """The space of the forests (children words) of a tree space."""
+    if isinstance(space, Trees):
+        return Words(space)
+    if isinstance(space, OrdTrees):
+        return OrdWords(space, space.alpha)
+    raise SetError("TreeOpen needs a tree point")
+
+
 def _suffixes_past(space, p, beta: Ordinal):
     """The suffixes of the word p past every position < beta, as points."""
     _word_space_base(space)  # a word space, or the domain error
@@ -635,7 +661,12 @@ def _match_product(base, atoms, word: OrdWord) -> bool:
 # -- normalization and canonical form ----------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Opens whose sort key is remembered, least recently used first out: the
+# bench workloads keep at most about 2,900 of them.
+OPEN_KEY_MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=OPEN_KEY_MEMO_SIZE)
 def open_key(u: OpenExpr):
     """Deterministic structural sort key."""
     return repr(canonical_key(u))
@@ -725,10 +756,11 @@ class ExtentOracle:
     construction, so the oracle calls the memoised point order `_leq`
     without `point_leq`'s checks.
 
-    The word rules read the universe through index tables, filled on first
-    read, whose entries are read by universe index and hold ints (indices
-    or masks), so that each glue, suffix and prepend is built once per
-    oracle.  With n = |U| points, the bound of each table:
+    The word and substructure rules read the universe through index
+    tables, filled on first read, whose entries are read by universe index
+    and hold ints (indices or masks), so that each glue, suffix, prepend
+    and substructure is built once per oracle.  With n = |U| points, the
+    bound of each table:
     - `_up`: entry i is the mask of the points above point i; n entries.
     - `_minimal`: the indices of the minimal points of a mask; one entry
       per mask read.
@@ -738,6 +770,8 @@ class ExtentOracle:
       of point i past every position < b; n rows per exponent.
     - `_prepends`: per base letter a, entry i is the index of the word
       a.(point i), or -1; n entries per letter.
+    - `_substructures`: row i is the mask of the substructures of point i
+      (its suffixes or subtrees, itself included); n rows.
     - `_upward`: whether a mask is upward closed; one verdict per mask
       read (the word rules ask it of the masks of base opens)."""
 
@@ -754,6 +788,7 @@ class ExtentOracle:
         self._glue: Dict[int, int] = {}
         self._suffixes: Dict[Ordinal, List[int]] = {}
         self._prepends: Dict[PointTerm, List[int]] = {}
+        self._substructures: Optional[List[int]] = None
         self._upward: Dict[int, bool] = {}
 
     def mask(self, s) -> int:
@@ -836,6 +871,19 @@ class ExtentOracle:
                              _suffixes_past(self.space, p, beta)), 0)
                 for p in self.universe]
         return rows
+
+    def _with_substructure_in(self, mask: int) -> int:
+        """The mask of the points with a substructure (the point itself
+        included) in `mask`.  The universe is downward closed and holds
+        every substructure of its points."""
+        rows = self._substructures
+        if rows is None:
+            index = self.index
+            rows = self._substructures = [
+                reduce(or_, (1 << index[q] for q in
+                             self.space.substructures(p)), 0)
+                for p in self.universe]
+        return _mask_where([row & mask for row in rows])
 
     def _prepend_row(self, letter: PointTerm) -> List[int]:
         """Entry i is the index of the word letter.universe[i], or -1 when

@@ -639,7 +639,12 @@ def point_leq(space: SpaceExpr, x: PointTerm, y: PointTerm) -> bool:
     return _leq(space, x, y)
 
 
-@lru_cache(maxsize=None)
+# Comparisons the point order remembers, least recently used first out: the
+# bench workloads keep at most about 21,000 of them.
+LEQ_MEMO_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=LEQ_MEMO_SIZE)
 def _leq(space: SpaceExpr, x: PointTerm, y: PointTerm) -> bool:
     return space.order(x, y)
 

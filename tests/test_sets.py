@@ -990,6 +990,54 @@ def _extent_by_membership(oracle, u) -> frozenset:
                      if member_open(oracle.space, p, u))
 
 
+def _tree_opens(space, points):
+    """Subtree opens over a tree space and substructure closures of them.
+    The children opens are letter patterns of one and two parts over
+    nested tree opens, prefix cylinders whose first tree lies in one,
+    up-closures of the forests of `points` and suffix triangles."""
+    roots = st.one_of(LETTERS, EMPTY_OR_WHOLE)
+    forests = st.lists(points, max_size=2).map(
+        lambda ts: UpClosure(tuple(space.forest(t) for t in ts)))
+    leaves = st.tuples(roots, st.one_of(EMPTY_OR_WHOLE, forests)).map(
+        lambda rc: TreeOpen(*rc))
+
+    def extend(kids):
+        patterns = st.lists(kids, min_size=1, max_size=2).map(
+            lambda ps: WordOpen(tuple(ps)))
+        plain = st.one_of(EMPTY_OR_WHOLE, forests, patterns)
+        children = st.one_of(
+            patterns, st.tuples(kids, plain).map(lambda lr: PrefixConcat(*lr)),
+            st.tuples(BETAS, plain).map(lambda bu: Triangle(*bu)), forests)
+        return st.one_of(
+            st.tuples(roots, children).map(lambda rc: TreeOpen(*rc)),
+            st.lists(kids, min_size=2, max_size=3).map(
+                lambda ps: Union(tuple(ps))),
+            st.lists(kids, min_size=2, max_size=3).map(
+                lambda ps: Intersect(tuple(ps))),
+            kids.map(UpSubstructure))
+
+    return st.recursive(leaves, extend, max_leaves=4)
+
+
+SUBSTRUCTURE_OPENS = {Trees(AB): _tree_opens(Trees(AB), TREE_POINTS),
+                      OTAB: _tree_opens(OTAB, ORD_TREE_POINTS)}
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+@pytest.mark.parametrize("space", [WAB, OWAB, Trees(AB), OTAB],
+                         ids=["words", "ordwords", "trees", "ordtrees"])
+def test_universe_holds_substructures_and_labels(space, bound):
+    """The premise of the substructure rows and of the subtree open's root
+    test: the universe holds every substructure of its points, and the
+    base universe at the same bound the label of every tree."""
+    oracle = oracle_for(space, bound)
+    assert all(q in oracle.index for p in oracle.universe
+               for q in space.substructures(p))
+    if isinstance(space, (Trees, OrdTrees)):
+        labels = oracle_for(space.base, bound).index
+        assert all(t.label in labels for t in oracle.universe)
+
+
 class TestMaskOracle:
     """The bitmask extent oracle against per-point membership."""
 
@@ -1011,6 +1059,27 @@ class TestMaskOracle:
     @given(TREE_OPENS)
     def test_tree_extents_match_membership(self, u):
         oracle = oracle_for(Trees(AB), 3)
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    @pytest.mark.parametrize("space, bound", [
+        (Trees(AB), 3), (Trees(AB), 4), (OTAB, 3), (OTAB, 4)],
+        ids=["trees-3", "trees-4", "ordtrees-3", "ordtrees-4"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_substructure_rules_match_membership_over_trees(self, space,
+                                                            bound, data):
+        oracle = oracle_for(space, bound)
+        u = data.draw(SUBSTRUCTURE_OPENS[space])
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    @pytest.mark.parametrize("bound", [3, 4, 5])
+    @pytest.mark.parametrize("space", [WAB, OWAB], ids=["words", "ordwords"])
+    @settings(max_examples=40, deadline=None)
+    @given(WORD_OPENS)
+    def test_substructure_closures_match_membership_over_words(
+            self, space, bound, inner):
+        oracle = oracle_for(space, bound)
+        u = UpSubstructure(inner)
         assert oracle.extent(u) == _extent_by_membership(oracle, u)
 
     @pytest.mark.parametrize("space, bound", [
@@ -1381,8 +1450,7 @@ class TestConstructorRules:
     # The constructors whose extent is the default filter by membership,
     # for want of a rule over their parts' masks.  Every other constructor
     # states its mask rule, so that none falls back to the filter unseen.
-    FILTERED = {BaseOpen, Rect, SumOpen, TreeOpen, RTimes, UpSubstructure,
-                DownClosure, OrdProduct}
+    FILTERED = {BaseOpen, Rect, SumOpen, RTimes, DownClosure, OrdProduct}
 
     @pytest.mark.parametrize("cls", get_args(OpenExpr) + get_args(ClosedExpr),
                              ids=lambda cls: cls.__name__)
@@ -1520,6 +1588,35 @@ class TestIndexTableCost:
                 oracle.mask(PrefixConcat(letters, rest))
         assert calls == 0
 
+    def test_second_substructure_rule_builds_no_row(self, monkeypatch):
+        import noethkit
+        noethkit.clear_caches()
+        space = Trees(AB)
+        oracle = oracle_for(space, 4)
+        leaf_a = TreeNode(Atom("a"), ())
+        calls = 0
+        substructures = Trees.substructures
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return substructures(*args)
+
+        def rows():
+            [got] = [o["substructure_rows"]
+                     for o in noethkit.cache_stats()["oracles"]
+                     if (o["space"], o["bound"]) == (space, 4)]
+            return got
+
+        monkeypatch.setattr(Trees, "substructures", counting)
+        oracle.mask(UpSubstructure(UpClosure((leaf_a,))))
+        assert calls == rows() == len(oracle.universe)
+        # Children opens read by membership call no substructure either.
+        oracle.mask(UpSubstructure(UpClosure((TreeNode(Atom("b"), ()),))))
+        oracle.mask(TreeOpen(UA, WordOpen((Whole(),))))
+        oracle.mask(TreeOpen(UB, UpClosure((Word((leaf_a,)),))))
+        assert calls == rows() == len(oracle.universe)
+
     def test_subword_stage_folds_each_subterm_object_once(self, monkeypatch):
         from noethkit.expanders import SubwordExpander, apply, iterate
         expander = SubwordExpander(AB)
@@ -1592,7 +1689,7 @@ class TestCacheInspection:
     def test_index_tables_show_in_stats_and_clear_resets(self):
         import noethkit
         tables = ("glue_entries", "suffix_rows", "prepend_rows",
-                  "upward_verdicts")
+                  "substructure_rows", "upward_verdicts")
 
         def entry(space, bound):
             [got] = [o for o in noethkit.cache_stats()["oracles"]
@@ -1611,13 +1708,22 @@ class TestCacheInspection:
         # word, one verdict per letter mask.
         assert {t: entry(WAB, 3)[t] for t in tables} == {
             "glue_entries": 1, "suffix_rows": 0, "prepend_rows": n,
-            "upward_verdicts": 0}
+            "substructure_rows": 0, "upward_verdicts": 0}
         assert entry(OWAB, 3)["suffix_rows"] == len(ordwords.universe)
         assert entry(AB, 3)["upward_verdicts"] == 2
         noethkit.clear_caches()
         assert noethkit.cache_stats()["oracles"] == []
         oracle_for(WAB, 3)
         assert all(entry(WAB, 3)[t] == 0 for t in tables)
+
+    def test_point_order_and_open_keys_are_bounded(self):
+        import noethkit
+        from noethkit import sets as sets_mod, space as space_mod
+        stats = noethkit.cache_stats()
+        assert stats["leq"].maxsize == space_mod.LEQ_MEMO_SIZE
+        assert stats["open_key"].maxsize == sets_mod.OPEN_KEY_MEMO_SIZE
+        assert all(isinstance(size, int) and size > 0 for size in
+                   (space_mod.LEQ_MEMO_SIZE, sets_mod.OPEN_KEY_MEMO_SIZE))
 
     def test_oracles_are_bounded_oldest_first(self):
         import noethkit
