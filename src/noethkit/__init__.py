@@ -15,9 +15,8 @@ def cache_stats() -> dict:
     """Sizes of the process-wide memos: the `cache_info()` of the point
     order (`space._leq`), of `sets.open_key` and, under `parse`, of the
     three text parsers, each with its `maxsize`; one entry per extent
-    oracle with its space, bound, universe size, memo entry counts and the
-    size of each index table (see `sets.ExtentOracle`); and the most
-    oracles kept at once."""
+    oracle, its `sets.ExtentOracle.stats()`; and the most oracles kept at
+    once."""
     from . import sets, sexpr, space
     return {
         "leq": space._leq.cache_info(),
@@ -25,17 +24,7 @@ def cache_stats() -> dict:
         "parse": {"space": sexpr.parse_space.cache_info(),
                   "point": sexpr.parse_point.cache_info(),
                   "set": sexpr.parse_set.cache_info()},
-        "oracles": [
-            {"space": o.space, "bound": o.bound, "universe": len(o.universe),
-             "open": len(o._open), "closed": len(o._closed),
-             "minimal": len(o._minimal),
-             "up_entries": sum(e is not None for e in o._up),
-             "glue_entries": len(o._glue),
-             "suffix_rows": sum(map(len, o._suffixes.values())),
-             "prepend_rows": sum(map(len, o._prepends.values())),
-             "substructure_rows": len(o._substructures or ()),
-             "upward_verdicts": len(o._upward)}
-            for o in sets._ORACLES.values()],
+        "oracles": [o.stats() for o in sets._ORACLES.values()],
         "max_oracles": sets.MAX_ORACLES,
     }
 

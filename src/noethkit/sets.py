@@ -31,7 +31,8 @@ are typechecked once per read, and a point that does not typecheck is a
 domain error.  The universal fallback oracle is `extent`: an enumerated
 finite universe held as an int bitmask, where up-closures are read from
 the up table of the point order, the word rules (concatenation, suffix
-triangle, prefix cylinder) and the substructure rules (tree opens,
+triangle, prefix cylinder, and the letter pattern as the suffix closure
+of a prefix cylinder) and the substructure rules (tree opens,
 substructure closures) from index tables over universe indices (see
 `ExtentOracle`), the Boolean combinations from their parts' masks, and
 the leaf constructors by membership, with lattice questions decided by
@@ -280,16 +281,13 @@ class WordOpen(_Set):
         fits = lambda part, letter: part.member(base, letter)
         return space.pattern_leq(self.parts, p, fits)
 
-    # Slower on one lone extent, but stages reuse the tails: filtering by
-    # membership instead took the bench `stages` op_tail_ms up 2.2-fold.
+    # <U1,...,Un> = upsub(U1.<U2,...,Un>) for every part, by the definition
+    # of the match: some suffix starts with a letter of U1 and goes on into
+    # the tail.  The tails are memoized as they recur.
     def mask(self, oracle) -> int:
-        if len(self.parts) > 1 and isinstance(oracle.space, (Words, OrdWords)):
-            base = oracle_for(oracle.space.base, oracle.bound)
-            if all(map(base._upward_closed, map(base.mask, self.parts))):
-                # <U1,...,Un> = up(<U1> <U2,...,Un>) when every Ui is upward
-                # closed in the base; the tails are memoized as they recur.
-                return oracle.mask(ConcatUp(WordOpen(self.parts[:1]),
-                                            WordOpen(self.parts[1:])))
+        if self.parts and isinstance(oracle.space, (Words, OrdWords)):
+            return oracle.mask(UpSubstructure(
+                PrefixConcat(self.parts[0], WordOpen(self.parts[1:]))))
         return super().mask(oracle)
 
     def normal(self):
@@ -429,11 +427,10 @@ class PrefixConcat(_Set):
         return (step is not None and self.letters.member(base, step[0])
                 and self.rest.member(space, step[1]))
 
-    # Built from its parts' extents: filtering both this and the Triangle
-    # rule by membership instead took the bench `stages` wall_s up 5.5-fold.
+    # The prepend rows read against the tail's mask.  Exact on the
+    # finite-run universe, where uncons and gluing one letter undo each other.
     def mask(self, oracle) -> int:
-        if not (isinstance(self.letters, BaseOpen)
-                and isinstance(oracle.space, Words)):
+        if not isinstance(oracle.space, (Words, OrdWords)):
             return super().mask(oracle)
         base = oracle_for(oracle.space.base, oracle.bound)
         rest = list(_bits(oracle.mask(self.rest)))
@@ -769,11 +766,10 @@ class ExtentOracle:
     - `_suffixes`: per exponent b, row i is the mask of the suffixes
       of point i past every position < b; n rows per exponent.
     - `_prepends`: per base letter a, entry i is the index of the word
-      a.(point i), or -1; n entries per letter.
+      a.(point i), or -1, over words and ordinal words alike; n entries
+      per letter.
     - `_substructures`: row i is the mask of the substructures of point i
-      (its suffixes or subtrees, itself included); n rows.
-    - `_upward`: whether a mask is upward closed; one verdict per mask
-      read (the word rules ask it of the masks of base opens)."""
+      (its suffixes or subtrees, itself included); n rows."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
@@ -789,7 +785,6 @@ class ExtentOracle:
         self._suffixes: Dict[Ordinal, List[int]] = {}
         self._prepends: Dict[PointTerm, List[int]] = {}
         self._substructures: Optional[List[int]] = None
-        self._upward: Dict[int, bool] = {}
 
     def mask(self, s) -> int:
         # Memoized on the expression itself; structurally equal expressions
@@ -827,13 +822,6 @@ class ExtentOracle:
         """The mask of the points above some point of `mask`."""
         up = self._ups(mask)
         return reduce(or_, (up[i] for i in _bits(mask)), 0)
-
-    def _upward_closed(self, mask: int) -> bool:
-        """Whether the mask is upward closed in the universe."""
-        got = self._upward.get(mask)
-        if got is None:
-            got = self._upward[mask] = lattice_contains(self._ups(mask), mask)
-        return got
 
     def _minimals(self, mask: int) -> Tuple[int, ...]:
         """The indices of the minimal points of a mask, one per equivalence
@@ -887,13 +875,26 @@ class ExtentOracle:
 
     def _prepend_row(self, letter: PointTerm) -> List[int]:
         """Entry i is the index of the word letter.universe[i], or -1 when
-        it is outside the universe (over `Words` only)."""
+        it is outside the universe (over a word space)."""
         row = self._prepends.get(letter)
         if row is None:
+            space, index = self.space, self.index
+            head = space.point(OrdWord(((letter, ONE),)))
             row = self._prepends[letter] = [
-                self.index.get(Word((letter,) + w.letters), -1)
-                for w in self.universe]
+                index.get(space.glue(head, w), -1) for w in self.universe]
         return row
+
+    def stats(self) -> dict:
+        """Its space, bound and universe size, the entry counts of its
+        memos and the size of each index table."""
+        return {"space": self.space, "bound": self.bound,
+                "universe": len(self.universe), "open": len(self._open),
+                "closed": len(self._closed), "minimal": len(self._minimal),
+                "up_entries": sum(e is not None for e in self._up),
+                "glue_entries": len(self._glue),
+                "suffix_rows": sum(map(len, self._suffixes.values())),
+                "prepend_rows": sum(map(len, self._prepends.values())),
+                "substructure_rows": len(self._substructures or ())}
 
     def points(self, mask: int) -> List[PointTerm]:
         """The points of a mask, in enumeration order."""

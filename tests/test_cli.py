@@ -428,6 +428,12 @@ MALFORMED = [
     pytest.param(["eval", "member", "b", "(base a)",
                   "--space", "(qo (elems a b) (leq (a b)))"], None, 1,
                  id="member-base-not-upward-closed"),
+    # A pattern reads the mask of each part, so an ill-formed part is an
+    # error at every bound, even where no word is long enough to reach it.
+    pytest.param(["eval", "extent",
+                  "(prefix (whole) (wordopen (whole) (base a)))", "--space",
+                  "(ordwords (qo (elems a b) (leq (a b))) w)", "--bound", "1"],
+                 None, 1, id="extent-base-not-upward-closed-at-bound-1"),
 ]
 
 

@@ -1022,6 +1022,41 @@ def _tree_opens(space, points):
 SUBSTRUCTURE_OPENS = {Trees(AB): _tree_opens(Trees(AB), TREE_POINTS),
                       OTAB: _tree_opens(OTAB, ORD_TREE_POINTS)}
 
+# The base a <= b, where (base a) is no open and a part need not be upward
+# closed.
+QAB = finite_qo("ab", [("a", "b")])
+
+
+def _pattern_opens(up_parts, parts):
+    """Letter patterns over `parts` and prefix cylinders with letters in
+    `parts`, under the word combinators.  Concatenations join patterns over
+    the upward-closed `up_parts` only: membership's split search matches
+    the glue rule only on upward-closed sides (ROADMAP item 1)."""
+    def patterns(ps):
+        return st.lists(ps, max_size=3).map(lambda ps: WordOpen(tuple(ps)))
+
+    up = st.recursive(patterns(up_parts), lambda kids: st.one_of(
+        st.builds(ConcatUp, kids, kids), _nary(kids, Union, Intersect)),
+        max_leaves=3)
+    return st.recursive(
+        st.one_of(up, patterns(parts)),
+        lambda kids: st.one_of(st.builds(PrefixConcat, parts, kids),
+                               *_combinators(kids)),
+        max_leaves=4)
+
+
+_AB_PARTS = st.one_of(BASE_OPENS, EMPTY_OR_WHOLE)
+_QAB_UP_PARTS = st.recursive(
+    st.sampled_from([UpClosure((Atom("a"),)), UpClosure((Atom("b"),)), UB,
+                     BaseOpen(frozenset("ab")), Empty(), Whole()]),
+    lambda kids: _nary(kids, Union, Intersect), max_leaves=3)
+_QAB_PARTS = st.recursive(
+    st.one_of(_QAB_UP_PARTS, st.sampled_from([
+        CarrierOpen(DownClosure((Atom("a"),))), CarrierOpen(ComplementOf(UB))])),
+    lambda kids: _nary(kids, Union, Intersect), max_leaves=3)
+PATTERN_OPENS = {AB: _pattern_opens(_AB_PARTS, _AB_PARTS),
+                 QAB: _pattern_opens(_QAB_UP_PARTS, _QAB_PARTS)}
+
 
 @pytest.mark.parametrize("bound", [3, 4, 5])
 @pytest.mark.parametrize("space", [WAB, OWAB, Trees(AB), OTAB],
@@ -1096,6 +1131,37 @@ class TestMaskOracle:
         down = DownClosure(data.draw(closure_points(space)))
         assert oracle.extent(down) == frozenset(
             p for p in oracle.universe if member_closed(space, p, down))
+
+    @pytest.mark.parametrize("base", [AB, QAB], ids=["fin", "qo"])
+    @pytest.mark.parametrize("ordinal", [False, True],
+                             ids=["words", "ordwords"])
+    @settings(max_examples=60, deadline=None)
+    @given(bound=st.integers(3, 4), data=st.data())
+    def test_pattern_and_cylinder_extents_match_membership(
+            self, base, ordinal, bound, data):
+        # Parts and letters beyond (base ...), and over a <= b parts that
+        # are not upward closed.
+        space = OrdWords(base, parse_ordinal("w*2")) if ordinal else Words(base)
+        oracle = oracle_for(space, bound)
+        u = data.draw(PATTERN_OPENS[base])
+        assert oracle.extent(u) == _extent_by_membership(oracle, u)
+
+    @pytest.mark.parametrize("letters", [UB, UpClosure((Atom("b"),))],
+                             ids=["base", "up"])
+    @pytest.mark.parametrize("space", [WAB, OWAB], ids=["words", "ordwords"])
+    def test_cylinder_reads_the_extent_of_its_tail(self, space, letters):
+        # The concatenation's left side is not upward closed, so its extent,
+        # the glue rule's up(LR), holds (word b a b), which its membership
+        # leaves out (ROADMAP item 1, defect 2).  A cylinder reads that
+        # extent on both word spaces, whatever open its letters are.
+        oracle = oracle_for(space, 4)
+        tail = ConcatUp(PrefixConcat(UA, Whole()), WordOpen((UB,)))
+        rest = oracle.extent(tail)
+        want = {p for p in oracle.universe
+                if (step := space.uncons(p)) is not None
+                and step[0] == Atom("b") and step[1] in rest}
+        assert oracle.extent(PrefixConcat(letters, tail)) == want
+        assert len(want) == 5
 
     @settings(max_examples=100, deadline=None)
     @given(BASE_OPENS)
@@ -1544,13 +1610,41 @@ class TestIndexTableCost:
         oracle.mask(Triangle(OMEGA, inner_b))
         assert calls == len(oracle.universe)
 
+    @pytest.mark.parametrize("space", [WAB, OWAB], ids=["words", "ordwords"])
+    def test_letter_pattern_reads_no_point_order(self, space, monkeypatch):
+        import noethkit
+        from noethkit import sets as sets_mod
+        noethkit.clear_caches()
+        oracle = oracle_for(space, 4)
+        calls = 0
+        leq = sets_mod._leq
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return leq(*args)
+
+        def table(name):
+            return sum(o[name] for o in noethkit.cache_stats()["oracles"])
+
+        monkeypatch.setattr(sets_mod, "_leq", counting)
+        oracle.mask(WordOpen((UA, UB, UA)))
+        assert calls == table("up_entries") == 0
+        rows = table("prepend_rows")
+        assert rows == 2 * len(oracle.universe)
+        # A second pattern with the same tail <b,a> reads the same rows.
+        oracle.mask(WordOpen((BaseOpen(frozenset("ab")), UB, UA)))
+        assert table("prepend_rows") == rows and calls == 0
+
     def test_concat_up_over_glued_minimal_sides_calls_no_glue(
             self, monkeypatch):
         import noethkit
         noethkit.clear_caches()
         oracle = oracle_for(WAB, 4)
         left, right = UpClosure((w("a"),)), UpClosure((w("b"), w("ba")))
-        oracle.mask(left), oracle.mask(right)
+        sides = WordOpen((UA,)), WordOpen((UB,))
+        for side in (left, right) + sides:
+            oracle.mask(side)  # the patterns' prepend rows glue letters
         calls = 0
         glue = Words.glue
 
@@ -1560,7 +1654,7 @@ class TestIndexTableCost:
             return glue(*args)
 
         monkeypatch.setattr(Words, "glue", counting)
-        oracle.mask(ConcatUp(WordOpen((UA,)), WordOpen((UB,))))
+        oracle.mask(ConcatUp(*sides))
         assert calls == 1
         # Other sides with the same extents, so the same minimal points.
         oracle.mask(ConcatUp(left, right))
@@ -1660,10 +1754,12 @@ class TestCacheInspection:
         pattern = WordOpen((BaseOpen(frozenset("c")), BaseOpen(frozenset("d"))))
         noethkit.clear_caches()
         extent(space, pattern, 3)
+        extent(space, UpClosure((Word((Atom("c"),)),)), 3)
         stats = noethkit.cache_stats()
         [entry] = [o for o in stats["oracles"] if o["space"] == space]
         assert entry["bound"] == 3 and entry["universe"] == 15
-        assert entry["open"] >= 1 and entry["up_entries"] >= 1
+        assert entry["open"] >= 2 and entry["prepend_rows"] >= 1
+        assert entry["up_entries"] >= 1
         assert stats["leq"].currsize > 0
         noethkit.clear_caches()
         stats = noethkit.cache_stats()
@@ -1689,7 +1785,7 @@ class TestCacheInspection:
     def test_index_tables_show_in_stats_and_clear_resets(self):
         import noethkit
         tables = ("glue_entries", "suffix_rows", "prepend_rows",
-                  "substructure_rows", "upward_verdicts")
+                  "substructure_rows")
 
         def entry(space, bound):
             [got] = [o for o in noethkit.cache_stats()["oracles"]
@@ -1703,14 +1799,13 @@ class TestCacheInspection:
         words.mask(WordOpen((UA, UB)))
         ordwords.mask(Triangle(OMEGA, WordOpen((UA,))))
         n = len(words.universe)
-        # One glue for the one minimal word of each side (<a,b> decomposes
-        # into the same sides), one prepend row, one suffix row per ordinal
-        # word, one verdict per letter mask.
+        # One glue for the one minimal word of each side, one prepend row
+        # per letter (the patterns read them too), one substructure row per
+        # word (for the patterns), one suffix row per ordinal word.
         assert {t: entry(WAB, 3)[t] for t in tables} == {
-            "glue_entries": 1, "suffix_rows": 0, "prepend_rows": n,
-            "substructure_rows": 0, "upward_verdicts": 0}
+            "glue_entries": 1, "suffix_rows": 0, "prepend_rows": 2 * n,
+            "substructure_rows": n}
         assert entry(OWAB, 3)["suffix_rows"] == len(ordwords.universe)
-        assert entry(AB, 3)["upward_verdicts"] == 2
         noethkit.clear_caches()
         assert noethkit.cache_stats()["oracles"] == []
         oracle_for(WAB, 3)
