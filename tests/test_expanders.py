@@ -25,9 +25,11 @@ from noethkit.sets import (
     BaseOpen,
     ComplementOf,
     PrefixConcat,
+    SetError,
     Union,
     UpClosure,
     Whole,
+    WholeC,
     WordOpen,
     extent,
     find_good_index,
@@ -49,6 +51,25 @@ def w(text: str) -> Word:
 
 def ext_set(space, u, bound):
     return frozenset(extent(space, u, bound))
+
+
+class TestBound:
+    """A negative bound is an error, not an empty universe on which every
+    stage is the last and every restriction agrees."""
+
+    def test_iterate(self):
+        with pytest.raises(SetError, match="at least 0, got -1"):
+            iterate(SubwordExpander(AB), 2, bound=-1)
+        result = iterate(SubwordExpander(AB), 2, bound=0)
+        assert (result.fixed_point_at, result.bound) == (1, 0)
+
+    def test_check_respects_subsets(self):
+        stage1 = apply(PrefixExpander(AB), trivial_stage(WAB), bound=3)
+        with pytest.raises(SetError, match="at least 0, got -1"):
+            check_respects_subsets(PrefixExpander(AB), stage1, WholeC(),
+                                   bound=-1)
+        assert check_respects_subsets(PrefixExpander(AB), stage1, WholeC(),
+                                      bound=0).equal
 
 
 class TestNatShift:

@@ -28,6 +28,7 @@ from noethkit.sets import (
     OrdProduct,
     Power,
     PrefixConcat,
+    ProductAtom,
     Rect,
     RTimes,
     RewriteShapeError,
@@ -402,6 +403,21 @@ class TestIncludes:
         r = includes(WAB, a, b)
         assert r.value is True and r.via == "up-closure" and r.bound is None
 
+    def test_negative_bound_is_an_error_on_the_extent_path(self):
+        # (word a b) lies in `both`, which an empty universe would hide.
+        both = Intersect((WordOpen((UA,)), WordOpen((UB,))))
+        for bound in (-1, -3):
+            with pytest.raises(SetError, match="at least 0"):
+                includes(WAB, both, Empty(), bound)
+        r = includes(WAB, both, Empty(), 0)
+        assert (r.value, r.via, r.bound) == (True, "extent", 0)
+        r = includes(WAB, both, Empty(), 2)
+        assert (r.value, r.via, r.witness) == (False, "extent", w("ab"))
+
+    def test_exact_answer_reads_no_bound(self):
+        r = includes(WAB, UpClosure((w("aa"),)), UpClosure((w("a"),)), -1)
+        assert (r.value, r.via, r.bound) == (True, "up-closure", None)
+
     def test_word_open_rule_complete_at_small_sizes(self):
         # Gate: the syntactic rule must agree with extent inclusion at bound 6
         # for all patterns with parts over a two-letter discrete base.
@@ -706,6 +722,12 @@ class TestExtent:
 
     def test_whole_extent_at_bound_one(self):
         assert extent(WAB, Whole(), 1) == (w(""), w("a"), w("b"))
+
+    def test_negative_bound_is_an_error(self):
+        # Its universe would be empty, so every extent would read empty.
+        with pytest.raises(SetError, match="at least 0, got -1"):
+            extent(WAB, Whole(), -1)
+        assert extent(WAB, Whole(), 0) == (w(""),)
 
     def test_pattern_count_at_bound_three(self):
         got = extent(WAB, WordOpen((UA, UB)), 3)
@@ -1522,6 +1544,63 @@ class TestConstructorRules:
                              ids=lambda cls: cls.__name__)
     def test_mask_rule_unless_filtered(self, cls):
         assert ("mask" in vars(cls)) == (cls not in self.FILTERED)
+
+
+def _rebuilt(t):
+    """A term equal to t, built afresh from the constructors down: no set
+    term in it has been hashed."""
+    if isinstance(t, tuple):
+        return tuple(map(_rebuilt, t))
+    if isinstance(t, noethkit.sets._Set):
+        return type(t)(*(_rebuilt(getattr(t, f.name)) for f in fields(t)))
+    return t
+
+
+def _field_hash(t) -> int:
+    """The dataclass hash: the hash of the tuple of t's fields."""
+    return hash(tuple(getattr(t, f.name) for f in fields(t)))
+
+
+class TestKeptHash:
+    """A set term keeps its hash once computed, and the kept value is the
+    dataclass one, so set and dict orders do not change."""
+
+    @given(st.one_of(WORD_OPENS, TREE_OPENS, _word_closeds(WORD_OPENS)))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_is_the_dataclass_hash(self, u):
+        fresh = _rebuilt(u)
+        assert fresh == u and fresh is not u
+        assert hash(fresh) == _field_hash(fresh)  # its first hash
+        assert hash(fresh) == _field_hash(fresh) == hash(u) == _field_hash(u)
+
+    @pytest.mark.parametrize("cls", get_args(OpenExpr) + get_args(ClosedExpr)
+                             + get_args(ProductAtom),
+                             ids=lambda cls: cls.__name__)
+    def test_every_set_class_keeps_its_hash(self, cls):
+        kept = noethkit.sets._kept_hash(None).__code__
+        assert vars(cls)["__hash__"].__code__ is kept
+
+    def test_points_and_spaces_keep_the_dataclass_hash(self):
+        kept = noethkit.sets._kept_hash(None).__code__
+        for cls in (Word, OrdWord, Atom, Pair, Words, OrdWords, Product):
+            assert vars(cls)["__hash__"].__code__ is not kept, cls
+
+    def test_second_hash_reads_no_part(self, monkeypatch):
+        # A count guard: the parts are of another class than the term, so
+        # a second hash that walked the term would call theirs.
+        t = Union((UpClosure((w("ab"),)), UpClosure((w("ba"), w("a")))))
+        first = hash(t)
+        calls = []
+        kept = UpClosure.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return kept(self)
+
+        monkeypatch.setattr(UpClosure, "__hash__", counting)
+        assert hash(t) == first
+        assert calls == []
+        assert hash(_rebuilt(t)) == first and len(calls) == 2
 
 
 def test_point_layout_is_read_through_the_space():
