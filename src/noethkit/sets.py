@@ -16,7 +16,9 @@ closed twins of Empty, Whole, Union and Intersect take their membership
 and mask rules, so open and closed membership are one recursion and open
 and closed extents one algorithm; ComplementOf and CarrierOpen read their
 part's mask.  Only the leaf constructors, with no rule over their parts'
-masks, take the default mask, a filter of the universe by membership.
+masks, take the default mask, a filter of the universe by membership;
+a word or tree rule over a space of another kind raises the domain error
+its membership raises, even over an empty universe.
 Adding a constructor takes its class with these rules, its place in
 `OpenExpr` or `ClosedExpr`, and one `sexpr` grammar row.  Word and tree
 points are read only through the rules of their space (see `space`), never
@@ -33,9 +35,9 @@ finite universe held as an int bitmask, where up-closures are read from
 the up table of the point order, the word rules (concatenation, suffix
 triangle, prefix cylinder, and the letter pattern as the suffix closure
 of a prefix cylinder) and the substructure rules (tree opens,
-substructure closures) from index tables over universe indices (see
-`ExtentOracle`), the Boolean combinations from their parts' masks, and
-the leaf constructors by membership, with lattice questions decided by
+substructure closures) from one table of mask rows keyed by relation
+(see `ExtentOracle`), the Boolean combinations from their parts' masks,
+and the leaf constructors by membership, with lattice questions decided by
 `meet_table`.  The oracle memoizes masks per term.  Each set term keeps
 its hash once computed (`_kept_hash`), so a memo probe does not walk the
 term again; points and spaces are hashed afresh.
@@ -288,10 +290,11 @@ class WordOpen(_Set):
     # of the match: some suffix starts with a letter of U1 and goes on into
     # the tail.  The tails are memoized as they recur.
     def mask(self, oracle) -> int:
-        if self.parts and isinstance(oracle.space, (Words, OrdWords)):
-            return oracle.mask(UpSubstructure(
-                PrefixConcat(self.parts[0], WordOpen(self.parts[1:]))))
-        return super().mask(oracle)
+        _word_space_base(oracle.space)
+        if not self.parts:
+            return oracle.full
+        return oracle.mask(UpSubstructure(
+            PrefixConcat(self.parts[0], WordOpen(self.parts[1:]))))
 
     def normal(self):
         return self if self.parts else Whole()
@@ -305,22 +308,24 @@ class ConcatUp(_Set):
     right: OpenExpr
 
     def member(self, space, p) -> bool:
-        if not isinstance(space, (Words, OrdWords)):
-            raise SetError("not a word point: %r" % (p,))
+        _word_space_base(space)
         return any(self.left.member(space, prefix)
                    and self.right.member(space, suffix)
                    for prefix, suffix in space.splits(p))
 
     def mask(self, oracle) -> int:
-        if not isinstance(oracle.space, (Words, OrdWords)):
-            return super().mask(oracle)
+        _word_space_base(oracle.space)
         # up(LR) restricted to the universe: glue the bounded extents and
         # close upward (anything above a too-long glue is too long too).
         # Concatenation is monotone, so gluing the minimal elements of each
         # side suffices.
-        right = oracle._minimals(oracle.mask(self.right))
-        left = oracle._minimals(oracle.mask(self.left))
-        return oracle._up_of(oracle._glued(left, right))
+        right = list(_bits(oracle._minimals(oracle.mask(self.right))))
+        glued = 0
+        for i in _bits(oracle._minimals(oracle.mask(self.left))):
+            row = oracle._glue_rows(i)
+            for j in right:
+                glued |= row[j]
+        return oracle._up_of(glued)
 
     def normal(self):
         if isinstance(self.left, Whole):
@@ -353,8 +358,6 @@ class TreeOpen(_Set):
     # bench `restrict` wall_s up 1.35-fold.
     def mask(self, oracle) -> int:
         space = oracle.space
-        if not isinstance(space, (Trees, OrdTrees)):
-            return super().mask(oracle)
         kids_space = _forest_space(space)
         base = oracle_for(space.base, oracle.bound)
         roots = base.mask(self.root_open)
@@ -380,11 +383,12 @@ class Triangle(_Set):
     # Suffix rows read against the inner mask: filtering by membership
     # instead took the bench `restrict` wall_s up 2- to 2.4-fold.
     def mask(self, oracle) -> int:
-        if not isinstance(oracle.space, (Words, OrdWords)):
-            return super().mask(oracle)
+        space, beta = oracle.space, self.beta
+        _word_space_base(space)
         outside = ~oracle.mask(self.inner)
-        return _mask_where([not row & outside
-                            for row in oracle._suffix_rows(self.beta)])
+        rows = oracle._rows(("suffix", beta),
+                            lambda p: _suffixes_past(space, p, beta))
+        return _mask_where([not row & outside for row in rows])
 
     def normal(self):
         if self.beta.is_zero() or isinstance(self.inner, Whole):
@@ -431,18 +435,15 @@ class PrefixConcat(_Set):
                 and self.rest.member(space, step[1]))
 
     # The prepend rows read against the tail's mask.  Exact on the
-    # finite-run universe, where uncons and gluing one letter undo each other.
+    # finite-run universe, where uncons and cons undo each other.
     def mask(self, oracle) -> int:
-        if not isinstance(oracle.space, (Words, OrdWords)):
-            return super().mask(oracle)
-        base = oracle_for(oracle.space.base, oracle.bound)
+        base = oracle_for(_word_space_base(oracle.space), oracle.bound)
         rest = list(_bits(oracle.mask(self.rest)))
         out = 0
         for letter in base.points(base.mask(self.letters)):
-            row = oracle._prepend_row(letter)
+            row = oracle._cons_rows(letter)
             for i in rest:
-                if row[i] >= 0:
-                    out |= 1 << row[i]
+                out |= row[i]
         return out
 
 
@@ -454,13 +455,11 @@ class UpSubstructure(_Set):
     inner: OpenExpr
 
     def member(self, space, p) -> bool:
-        if not hasattr(space, "substructures"):
-            raise SetError("no substructure order on %r" % (p,))
+        _substructure_space(space)
         return any(self.inner.member(space, s) for s in space.substructures(p))
 
     def mask(self, oracle) -> int:
-        if not hasattr(oracle.space, "substructures"):
-            return super().mask(oracle)
+        _substructure_space(oracle.space)
         return oracle._with_substructure_in(oracle.mask(self.inner))
 
     def normal(self):
@@ -614,6 +613,11 @@ def _word_space_base(space):
     if isinstance(space, (Words, OrdWords)):
         return space.base
     raise SetError("word operation over non-word space %r" % (space,))
+
+
+def _substructure_space(space):
+    if not hasattr(space, "substructures"):
+        raise SetError("no substructure order on %r" % (space,))
 
 
 def _forest_space(space):
@@ -773,23 +777,21 @@ class ExtentOracle:
     construction, so the oracle calls the memoised point order `_leq`
     without `point_leq`'s checks.
 
-    The word and substructure rules read the universe through index
-    tables, filled on first read, whose entries are read by universe index
-    and hold ints (indices or masks), so that each glue, suffix, prepend
-    and substructure is built once per oracle.  With n = |U| points, the
-    bound of each table:
-    - `_up`: entry i is the mask of the points above point i; n entries.
-    - `_minimal`: the indices of the minimal points of a mask; one entry
-      per mask read.
-    - `_glue`: entry i*n + j is the index of the glue of points i and j,
-      or -1 when it is outside the universe; at most n*n entries.
-    - `_suffixes`: per exponent b, row i is the mask of the suffixes
-      of point i past every position < b; n rows per exponent.
-    - `_prepends`: per base letter a, entry i is the index of the word
-      a.(point i), or -1, over words and ordinal words alike; n entries
-      per letter.
-    - `_substructures`: row i is the mask of the substructures of point i
-      (its suffixes or subtrees, itself included); n rows."""
+    The word and substructure rules read the universe through one table
+    of mask rows, `_relations`, keyed by relation and filled on first read
+    (`_rows`), so that each prepend, suffix, substructure and glue is built
+    once per oracle.  With n = |U| points, row i of each relation is the
+    mask of the points related to point i that lie in the universe:
+    - ("prepend", a): the word a.(point i), over words and ordinal words
+      alike;
+    - ("suffix", b): the suffixes of point i past every position < b;
+    - "substructure": the substructures of point i (its suffixes or
+      subtrees, itself included);
+    - ("glue", i): row j is the glue of points i and j, composed from the
+      prepend rows of point i's letters (`_glue_rows`).
+    Each relation has n rows.  Beside them, `_up`: entry i is the mask of
+    the points above point i, n entries; and `_minimal`: the mask of the
+    minimal points of a mask, one entry per mask read."""
 
     def __init__(self, space: SpaceExpr, bound: int):
         self.space = space
@@ -799,12 +801,9 @@ class ExtentOracle:
         self.full = (1 << len(self.universe)) - 1
         self._open: Dict[OpenExpr, int] = {}
         self._closed: Dict[ClosedExpr, int] = {}
-        self._minimal: Dict[int, Tuple[int, ...]] = {}
+        self._minimal: Dict[int, int] = {}
         self._up: List[Optional[int]] = [None] * len(self.universe)
-        self._glue: Dict[int, int] = {}
-        self._suffixes: Dict[Ordinal, List[int]] = {}
-        self._prepends: Dict[PointTerm, List[int]] = {}
-        self._substructures: Optional[List[int]] = None
+        self._relations: Dict[object, List[int]] = {}
 
     def mask(self, s) -> int:
         # Memoized on the expression itself; structurally equal expressions
@@ -844,78 +843,65 @@ class ExtentOracle:
         up = self._ups(mask)
         return reduce(or_, (up[i] for i in _bits(mask)), 0)
 
-    def _minimals(self, mask: int) -> Tuple[int, ...]:
-        """The indices of the minimal points of a mask, one per equivalence
-        class (the first in enumeration order), in increasing order."""
+    def _minimals(self, mask: int) -> int:
+        """The mask of the minimal points of a mask, one per equivalence
+        class (the first in enumeration order)."""
         got = self._minimal.get(mask)
         if got is None:
             universe = self.universe
-            got = self._minimal[mask] = minimize_basis(
+            got = self._minimal[mask] = sum(1 << i for i in minimize_basis(
                 _bits(mask),
-                lambda i, j: _leq(self.space, universe[i], universe[j]))
+                lambda i, j: _leq(self.space, universe[i], universe[j])))
         return got
 
-    def _glued(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> int:
-        """The mask of the glues of a point of `left` and one of `right`
-        (indices) that lie in the universe."""
-        n, table, out = len(self.universe), self._glue, 0
-        for i in left:
-            for j in right:
-                k = table.get(i * n + j)
-                if k is None:
-                    glue = self.space.glue(self.universe[i], self.universe[j])
-                    k = table[i * n + j] = self.index.get(glue, -1)
-                if k >= 0:
-                    out |= 1 << k
-        return out
-
-    def _suffix_rows(self, beta: Ordinal) -> List[int]:
-        """Row i is the mask of the suffixes of universe[i] past every
-        position < beta.  The universe is downward closed and holds them."""
-        rows = self._suffixes.get(beta)
+    def _rows(self, key, related) -> List[int]:
+        """The rows of the relation `key`, filled on first read: row i is
+        the mask of the points of `related(universe[i])` in the universe."""
+        rows = self._relations.get(key)
         if rows is None:
-            index = self.index
-            rows = self._suffixes[beta] = [
-                reduce(or_, (1 << index[q] for q in
-                             _suffixes_past(self.space, p, beta)), 0)
-                for p in self.universe]
+            rows = self._relations[key] = list(
+                map(self.mask_of, map(related, self.universe)))
+        return rows
+
+    def _cons_rows(self, letter: PointTerm) -> List[int]:
+        """The rows of ("prepend", letter) over a word space."""
+        cons = self.space.cons
+        return self._rows(("prepend", letter), lambda w: (cons(letter, w),))
+
+    def _glue_rows(self, i: int) -> List[int]:
+        """The rows of ("glue", i): the prepend rows of point i's letters
+        composed, from the last letter to the first, by indexing (an entry
+        of a prepend row is one bit or none).  Exact: the universe is
+        downward closed, so it holds every suffix of a glue it holds."""
+        rows = self._relations.get(("glue", i))
+        if rows is None:
+            letters, p, uncons = [], self.universe[i], self.space.uncons
+            while (step := uncons(p)) is not None:
+                letter, p = step
+                letters.append(letter)
+            rows = [1 << j for j in range(len(self.universe))]
+            for letter in reversed(letters):
+                step = self._cons_rows(letter)
+                rows = [m and step[m.bit_length() - 1] for m in rows]
+            self._relations[("glue", i)] = rows
         return rows
 
     def _with_substructure_in(self, mask: int) -> int:
         """The mask of the points with a substructure (the point itself
         included) in `mask`.  The universe is downward closed and holds
         every substructure of its points."""
-        rows = self._substructures
-        if rows is None:
-            index = self.index
-            rows = self._substructures = [
-                reduce(or_, (1 << index[q] for q in
-                             self.space.substructures(p)), 0)
-                for p in self.universe]
+        rows = self._rows("substructure", self.space.substructures)
         return _mask_where([row & mask for row in rows])
-
-    def _prepend_row(self, letter: PointTerm) -> List[int]:
-        """Entry i is the index of the word letter.universe[i], or -1 when
-        it is outside the universe (over a word space)."""
-        row = self._prepends.get(letter)
-        if row is None:
-            space, index = self.space, self.index
-            head = space.point(OrdWord(((letter, ONE),)))
-            row = self._prepends[letter] = [
-                index.get(space.glue(head, w), -1) for w in self.universe]
-        return row
 
     def stats(self) -> dict:
         """Its space, bound and universe size, the entry counts of its
-        memos and the size of each index table."""
+        memos, and under `rows` the row count of each relation."""
         return {"space": self.space, "bound": self.bound,
                 "universe": len(self.universe), "open": len(self._open),
                 "closed": len(self._closed), "minimal": len(self._minimal),
                 "up_entries": sum(e is not None for e in self._up),
-                "glue_entries": len(self._glue),
-                "suffix_rows": sum(map(len, self._suffixes.values())),
-                "prepend_rows": sum(map(len, self._prepends.values())),
-                "substructure_rows": len(self._substructures or ())}
+                "rows": {key: len(rows)
+                         for key, rows in self._relations.items()}}
 
     def points(self, mask: int) -> List[PointTerm]:
         """The points of a mask, in enumeration order."""
@@ -962,9 +948,6 @@ class IncludesResult:
     via: str
     bound: Optional[int] = None
     witness: Optional[PointTerm] = None
-
-    def __bool__(self):
-        return self.value is True
 
 
 def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,

@@ -16,7 +16,8 @@ order rules recurse through the memo `_leq`, the enumeration rules through
 `_enumerate`.  Word and tree spaces also hold the layout of their points,
 which the set layer reads: on words `uncons` (the first letter and the
 rest, None when empty), `splits` (the pairs u, v with uv = p),
-`substructures` (the suffixes), `glue`, `pattern_leq` (the Higman match of
+`substructures` (the suffixes), `cons` (a letter and a word to the word
+they start, the inverse of `uncons`), `pattern_leq` (the Higman match of
 a pattern, an item fitting a letter when `fits(item, letter)`) and
 `runs`/`point` (to runs of letters and back); on trees `substructures`
 (the subtrees) and `forest` (a node's children as a word of the children
@@ -225,8 +226,8 @@ class Words:
     def substructures(self, p):
         return tuple(Word(p.letters[i:]) for i in range(len(p.letters) + 1))
 
-    def glue(self, u, v):
-        return Word(u.letters + v.letters)
+    def cons(self, letter, p):
+        return Word((letter,) + p.letters)
 
     def pattern_leq(self, pattern, p, fits) -> bool:
         return higman_leq(pattern, p.letters, fits)
@@ -341,8 +342,8 @@ class OrdWords:
                 out.append(OrdWord(run + segs[i + 1:]))
         return tuple(out)
 
-    def glue(self, u, v):
-        return ord_word(u.segments + v.segments)
+    def cons(self, letter, p):
+        return ord_word(((letter, ONE),) + p.segments)
 
     def pattern_leq(self, pattern, p, fits) -> bool:
         # Each item of the pattern is a run of one.

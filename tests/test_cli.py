@@ -434,6 +434,16 @@ MALFORMED = [
                   "(prefix (whole) (wordopen (whole) (base a)))", "--space",
                   "(ordwords (qo (elems a b) (leq (a b))) w)", "--bound", "1"],
                  None, 1, id="extent-base-not-upward-closed-at-bound-1"),
+    # A word or tree rule over another space is an error even where the
+    # universe is empty.
+    *(pytest.param(["eval", "extent", text, "--space", "(fin a b)",
+                    "--bound", "0"], None, 1, id="extent-%s-at-bound-0" % name)
+      for name, text in [("tri", "(tri 1 (whole))"),
+                         ("wordopen", "(wordopen (base a))"),
+                         ("prefix", "(prefix (base a) (whole))"),
+                         ("concatup", "(concatup (whole) (up a))"),
+                         ("upsub", "(upsub (whole))"),
+                         ("treeopen", "(treeopen (base a) (whole))")]),
 ]
 
 

@@ -1251,6 +1251,33 @@ OMEGA_RUN_POINTS = st.lists(
     max_size=3).map(ord_word).filter(lambda p: typecheck(OWAB, p))
 
 
+@pytest.mark.parametrize("space, points",
+                         [(WAB, st.text("ab", max_size=5).map(w)),
+                          (OWAB, OMEGA_RUN_POINTS)],
+                         ids=["words", "ordwords"])
+@given(data=st.data())
+def test_uncons_undoes_cons(space, points, data):
+    letter, p = data.draw(ATOMS), data.draw(points)
+    assert space.uncons(space.cons(letter, p)) == (letter, p)
+
+
+@pytest.mark.parametrize("bound", [3, 4])
+@pytest.mark.parametrize("space", [WAB, OWAB], ids=["words", "ordwords"])
+def test_glue_row_holds_each_concatenation(space, bound):
+    """Row j of the glue relation of point i is the bit of the word i.j,
+    or 0 when it lies outside the universe."""
+    oracle = oracle_for(space, bound)
+    for i, u in enumerate(oracle.universe):
+        row = oracle._glue_rows(i)
+        for j, v in enumerate(oracle.universe):
+            if space == WAB:
+                glued = Word(u.letters + v.letters)
+            else:
+                glued = ord_word(u.segments + v.segments)
+            k = oracle.index.get(glued)
+            assert row[j] == (0 if k is None else 1 << k), (u, v)
+
+
 def _normal_word_opens(points, concat: bool):
     """Every open constructor over a word space, with Empty, Whole and
     up-closures of `points` among the leaves and the letters, and zero
@@ -1706,14 +1733,19 @@ class TestIndexTableCost:
         def table(name):
             return sum(o[name] for o in noethkit.cache_stats()["oracles"])
 
+        def prepend_rows():
+            return {key: rows for o in noethkit.cache_stats()["oracles"]
+                    for key, rows in o["rows"].items() if key[0] == "prepend"}
+
         monkeypatch.setattr(sets_mod, "_leq", counting)
         oracle.mask(WordOpen((UA, UB, UA)))
         assert calls == table("up_entries") == 0
-        rows = table("prepend_rows")
-        assert rows == 2 * len(oracle.universe)
+        rows = prepend_rows()
+        n = len(oracle.universe)
+        assert rows == {("prepend", Atom("a")): n, ("prepend", Atom("b")): n}
         # A second pattern with the same tail <b,a> reads the same rows.
         oracle.mask(WordOpen((BaseOpen(frozenset("ab")), UB, UA)))
-        assert table("prepend_rows") == rows and calls == 0
+        assert prepend_rows() == rows and calls == 0
 
     def test_concat_up_over_glued_minimal_sides_calls_no_glue(
             self, monkeypatch):
@@ -1723,21 +1755,29 @@ class TestIndexTableCost:
         left, right = UpClosure((w("a"),)), UpClosure((w("b"), w("ba")))
         sides = WordOpen((UA,)), WordOpen((UB,))
         for side in (left, right) + sides:
-            oracle.mask(side)  # the patterns' prepend rows glue letters
+            oracle.mask(side)  # the patterns build the prepend rows
         calls = 0
-        glue = Words.glue
+        cons = Words.cons
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return glue(*args)
+            return cons(*args)
 
-        monkeypatch.setattr(Words, "glue", counting)
+        def rows():
+            [got] = [o["rows"] for o in noethkit.cache_stats()["oracles"]
+                     if (o["space"], o["bound"]) == (WAB, 4)]
+            return got
+
+        monkeypatch.setattr(Words, "cons", counting)
         oracle.mask(ConcatUp(*sides))
-        assert calls == 1
+        built = rows()
+        # The glue row of the left side's minimal word (a) composes the
+        # prepend row of a, which the patterns built.
+        assert calls == 0 and ("glue", oracle.index[w("a")]) in built
         # Other sides with the same extents, so the same minimal points.
         oracle.mask(ConcatUp(left, right))
-        assert calls == 1
+        assert calls == 0 and rows() == built
 
     def test_repeated_prefix_concat_builds_no_word(self, monkeypatch):
         import noethkit
@@ -1776,7 +1816,7 @@ class TestIndexTableCost:
             return substructures(*args)
 
         def rows():
-            [got] = [o["substructure_rows"]
+            [got] = [o["rows"]["substructure"]
                      for o in noethkit.cache_stats()["oracles"]
                      if (o["space"], o["bound"]) == (space, 4)]
             return got
@@ -1837,7 +1877,8 @@ class TestCacheInspection:
         stats = noethkit.cache_stats()
         [entry] = [o for o in stats["oracles"] if o["space"] == space]
         assert entry["bound"] == 3 and entry["universe"] == 15
-        assert entry["open"] >= 2 and entry["prepend_rows"] >= 1
+        assert entry["open"] >= 2
+        assert entry["rows"][("prepend", Atom("c"))] == 15
         assert entry["up_entries"] >= 1
         assert stats["leq"].currsize > 0
         noethkit.clear_caches()
@@ -1863,8 +1904,6 @@ class TestCacheInspection:
 
     def test_index_tables_show_in_stats_and_clear_resets(self):
         import noethkit
-        tables = ("glue_entries", "suffix_rows", "prepend_rows",
-                  "substructure_rows")
 
         def entry(space, bound):
             [got] = [o for o in noethkit.cache_stats()["oracles"]
@@ -1877,18 +1916,21 @@ class TestCacheInspection:
         words.mask(PrefixConcat(UA, Whole()))
         words.mask(WordOpen((UA, UB)))
         ordwords.mask(Triangle(OMEGA, WordOpen((UA,))))
-        n = len(words.universe)
-        # One glue for the one minimal word of each side, one prepend row
-        # per letter (the patterns read them too), one substructure row per
-        # word (for the patterns), one suffix row per ordinal word.
-        assert {t: entry(WAB, 3)[t] for t in tables} == {
-            "glue_entries": 1, "suffix_rows": 0, "prepend_rows": 2 * n,
-            "substructure_rows": n}
-        assert entry(OWAB, 3)["suffix_rows"] == len(ordwords.universe)
+        n, m = len(words.universe), len(ordwords.universe)
+        a, b = Atom("a"), Atom("b")
+        # One glue relation for the one minimal word of the left side, one
+        # prepend relation per letter (the patterns read them too), the
+        # substructure relation (for the patterns), one suffix relation per
+        # exponent; n rows each.
+        assert entry(WAB, 3)["rows"] == {
+            ("glue", words.index[w("a")]): n, ("prepend", a): n,
+            ("prepend", b): n, "substructure": n}
+        assert entry(OWAB, 3)["rows"] == {
+            ("suffix", OMEGA): m, ("prepend", a): m, "substructure": m}
         noethkit.clear_caches()
         assert noethkit.cache_stats()["oracles"] == []
         oracle_for(WAB, 3)
-        assert all(entry(WAB, 3)[t] == 0 for t in tables)
+        assert entry(WAB, 3)["rows"] == {}
 
     def test_point_order_and_open_keys_are_bounded(self):
         import noethkit

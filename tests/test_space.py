@@ -334,6 +334,6 @@ class TestConstructorRules:
         assert "size" in vars(cls)
 
 
-WORD_RULES = {"uncons", "splits", "substructures", "glue", "pattern_leq",
+WORD_RULES = {"uncons", "splits", "substructures", "cons", "pattern_leq",
               "runs", "point"}
 TREE_RULES = {"substructures", "forest"}
