@@ -25,7 +25,6 @@ from . import wsts as W
 from .ordinal import OrdinalError, parse_ordinal
 from .sexpr import (
     SexprError,
-    ordinal_token,
     parse_point,
     parse_set,
     parse_space,
@@ -83,7 +82,7 @@ def _stage_doc(stage: E.TopologyStage, bound: int) -> dict:
         "generators": [
             {
                 "expr": print_set(g),
-                "depth": ordinal_token(d),
+                "depth": str(d),
                 "extent_hash": _extent_hash(stage.space, g, bound),
             }
             for g, d in stage.generators

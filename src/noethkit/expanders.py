@@ -14,16 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ordinal import ZERO, Ordinal, _sort_key, cmp
+from .ordinal import Ordinal, cmp, parse_ordinal
 from .sexpr import print_set
 from .sets import (
     BaseOpen,
-    CarrierOpen,
     ClosedExpr,
     ConcatUp,
     Empty,
     ExtentOracle,
-    Intersect,
     OpenExpr,
     PrefixConcat,
     Triangle,
@@ -66,7 +64,7 @@ class TopologyStage:
     """Cumulative generator set for an iterated refinement rule."""
 
     space: SpaceExpr
-    generators: Tuple[Tuple[OpenExpr, Ordinal], ...]
+    generators: Tuple[Tuple[OpenExpr, int], ...]
     step: int
     capped: bool = False
 
@@ -74,15 +72,11 @@ class TopologyStage:
         return tuple(g for g, _ in self.generators)
 
     def fresh(self) -> Tuple[OpenExpr, ...]:
-        step = Ordinal.from_int(self.step)
-        return tuple(g for g, d in self.generators if d == step)
-
-    def as_topology(self) -> TopologyDesc:
-        return TopologyDesc(self.space, self.opens())
+        return tuple(g for g, d in self.generators if d == self.step)
 
 
 def trivial_stage(space: SpaceExpr) -> TopologyStage:
-    return TopologyStage(space, ((Empty(), ZERO), (Whole(), ZERO)), 0)
+    return TopologyStage(space, ((Empty(), 0), (Whole(), 0)), 0)
 
 
 def _letter_subbasis(base: FiniteQO) -> Tuple[BaseOpen, ...]:
@@ -117,7 +111,6 @@ DEFAULT_EXPONENTS = ("1", "2", "w", "w+1", "w*2", "w^2")
 
 
 def _exponent_menu(alpha: Ordinal, menu: Optional[Sequence[Ordinal]]) -> Tuple[Ordinal, ...]:
-    from .ordinal import parse_ordinal
     if menu is None:
         menu = [parse_ordinal(t) for t in DEFAULT_EXPONENTS] + [alpha]
     out = []
@@ -230,13 +223,19 @@ class OrdinalTreeExpander:
 # -- iteration ----------------------------------------------------------------
 
 
-def _stage_sources(stage: TopologyStage) -> List[OpenExpr]:
-    """The opens a rule is applied to: the stage's nonempty generators, with
+def _stage_sources(opens: Sequence[OpenExpr]) -> List[OpenExpr]:
+    """The opens a rule is applied to: the nonempty ones of `opens`, with
     the whole space among them."""
-    sources = [u for u in stage.opens() if not isinstance(u, Empty)]
+    sources = [u for u in opens if not isinstance(u, Empty)]
     if not any(isinstance(u, Whole) for u in sources):
         sources.append(Whole())
     return sources
+
+
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ExpanderError("%s must be at least %d, got %d"
+                            % (name, low, value))
 
 
 def _first_per_extent(opens, extent_of) -> Dict[int, OpenExpr]:
@@ -252,15 +251,16 @@ def apply(expander, stage: TopologyStage, bound: int,
           cap: int = DEFAULT_CAP) -> TopologyStage:
     """One refinement step: emit the rule's generators over the stage opens
     (the whole space included), keeping extent-fresh ones at depth step+1."""
+    _check_at_least("cap", cap, 1)
     if getattr(expander, "space", None) != stage.space:
         raise ExpanderError("stage space does not match the expander")
     oracle = oracle_for(stage.space, bound)
-    fresh = normalize_opens(expander.fresh_generators(_stage_sources(stage)))
+    fresh = normalize_opens(
+        expander.fresh_generators(_stage_sources(stage.opens())))
     fresh = [g for g in fresh if not isinstance(g, Empty)]
     fresh = sorted({open_key(g): g for g in fresh}.items())
     seen = {oracle.mask(g) for g, _ in stage.generators}
     new_step = stage.step + 1
-    depth = Ordinal.from_int(new_step)
     gens = list(stage.generators)
     capped = stage.capped
     for _, g in fresh:
@@ -271,7 +271,7 @@ def apply(expander, stage: TopologyStage, bound: int,
         if ext in seen:
             continue
         seen.add(ext)
-        gens.append((g, depth))
+        gens.append((g, new_step))
     return TopologyStage(stage.space, tuple(gens), new_step, capped)
 
 
@@ -288,6 +288,8 @@ def iterate(expander, steps: int, bound: int,
     at the first step whose extent lattice equals its predecessor's.  A
     capped step is never reported: the cap, not the rule, stopped its
     growth."""
+    _check_at_least("steps", steps, 0)
+    _check_at_least("cap", cap, 1)
     stages = [trivial_stage(expander.space)]
     fixed_at: Optional[int] = None
     oracle = oracle_for(expander.space, bound)
@@ -327,6 +329,8 @@ def find_bad_chain(expander, length: int, bound: int,
     pick maximizes its smallest uncovered point (steering along antichain
     diagonals), breaking ties by smaller extent.  Returns the cumulative
     unions, or None if some stage offers no uncovered fresh generator."""
+    _check_at_least("length", length, 0)
+    _check_at_least("cap", cap, 1)
     oracle = oracle_for(expander.space, bound)
     stage = trivial_stage(expander.space)
     covered = 0
@@ -369,26 +373,21 @@ def check_respects_subsets(expander, stage: TopologyStage, h: ClosedExpr,
                            bound: int, cap: int = DEFAULT_CAP) -> RespectsReport:
     """Compare the two restriction orders: refine-then-restrict against
     restrict-then-refine, as extent lattices over the carrier h."""
-    space = stage.space
-    oracle = oracle_for(space, bound)
-    restrict(stage.as_topology(), h, bound=bound)
-    mark = CarrierOpen(h)
-    h_ext = oracle.mask(mark)
+    oracle = oracle_for(stage.space, bound)
+    sources = _stage_sources(stage.opens())
+    restricted = restrict(TopologyDesc(stage.space, tuple(sources)), h, bound)
+    h_ext = oracle.mask(h)
 
-    sources = _stage_sources(stage)
     refined = normalize_opens(expander.fresh_generators(sources))
     refined_table = meet_table([oracle.mask(g) for g in refined], oracle.full)
     precheck = all(lattice_contains(refined_table, oracle.mask(u))
                    for u in sources)
 
-    # Opens of tau|H: the cut generators, the carrier itself (X /\ H), and
-    # the whole space.  Sources with equal extents at the bound yield
-    # generators with equal extents for every rule here, so they are
-    # deduplicated up front.
-    restricted_sources = [normalize_open(Intersect((u, mark))) for u in sources]
-    restricted_sources.append(Whole())
-    restricted_sources = sorted(
-        _first_per_extent(restricted_sources, oracle.mask).values(),
+    # Opens of tau|H: the cut sources, the carrier X /\ H among them, and the
+    # whole space.  Sources of equal extent at the bound yield generators of
+    # equal extent for every rule here, so they are deduplicated up front.
+    restricted_sources = sorted(_first_per_extent(
+        _stage_sources(restricted.effective_subbasis()), oracle.mask).values(),
         key=open_key)
     refined_restricted = normalize_opens(
         expander.fresh_generators(restricted_sources))
@@ -426,8 +425,7 @@ class StageReport:
 def _stage_nodes(stage: TopologyStage, oracle: ExtentOracle):
     """Distinct generator extents plus empty and whole, each with the first
     generator (in depth then key order) as its representative."""
-    gens = sorted(stage.generators, key=lambda gd: (_sort_key(gd[1]),
-                                                    open_key(gd[0])))
+    gens = sorted(stage.generators, key=lambda gd: (gd[1], open_key(gd[0])))
     return _first_per_extent([Empty(), Whole()] + [g for g, _ in gens],
                              oracle.mask)
 
@@ -493,15 +491,14 @@ def _poset_width(exts: List[int]) -> Tuple[int, List[int]]:
     return n - matching, antichain
 
 
-def depth_of(stage: TopologyStage, u: OpenExpr, bound: int) -> Ordinal:
+def depth_of(stage: TopologyStage, u: OpenExpr, bound: int) -> int:
     key = open_key(normalize_open(u))
     for g, d in stage.generators:
         if open_key(g) == key:
             return d
     oracle = oracle_for(stage.space, bound)
     target = oracle.mask(u)
-    for g, d in sorted(stage.generators,
-                       key=lambda gd: _sort_key(gd[1])):
+    for g, d in sorted(stage.generators, key=lambda gd: gd[1]):
         if oracle.mask(g) == target:
             return d
     raise ExpanderError("open not found among the stage generators")
@@ -510,7 +507,7 @@ def depth_of(stage: TopologyStage, u: OpenExpr, bound: int) -> Ordinal:
 def tdown(stage: TopologyStage, u: OpenExpr, bound: int) -> TopologyStage:
     """The stage filtered to generators of strictly smaller depth than u."""
     d = depth_of(stage, u, bound)
-    gens = tuple((g, gd) for g, gd in stage.generators if cmp(gd, d) < 0)
+    gens = tuple((g, gd) for g, gd in stage.generators if gd < d)
     return TopologyStage(stage.space, gens, stage.step, stage.capped)
 
 

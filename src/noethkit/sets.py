@@ -24,12 +24,14 @@ Adding a constructor takes its class with these rules, its place in
 points are read only through the rules of their space (see `space`), never
 by their point class.
 
-Membership is structural recursion, exact except for ConcatUp on ordinal
-words with infinite runs: the remainders that `OrdWords.splits` leaves of
-a run are exact, but the prefixes it pairs them with inside an infinite
-run are sampled (see its docstring).  The point it is asked
-about is typechecked once at entry; the points of each closure it reads
-are typechecked once per read, and a point that does not typecheck is a
+Membership is structural recursion, exact except for two ConcatUp gaps:
+it samples the prefixes that `OrdWords.splits` pairs with the exact
+remainders of an infinite run, and it takes only exact splits, while the
+extent is the upward closure of the concatenation (at bound 3 the extent
+of `(concatup (prefix (base a) (whole)) (wordopen (base b)))` over words
+holds `(word b a b)`, not a member).  The point it is asked about is
+typechecked once at entry; the points of each closure it reads are
+typechecked once per read, and a point that does not typecheck is a
 domain error.  The universal fallback oracle is `extent`: an enumerated
 finite universe held as an int bitmask, where up-closures are read from
 the up table of the point order, the word rules (concatenation, suffix

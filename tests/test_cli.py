@@ -41,6 +41,19 @@ class TestEval:
         assert code == 0 and doc["result"] is False
         assert doc["witness"] == "(word a)"
 
+    @pytest.mark.parametrize("left, right, result, witness", [
+        ("(down (word a b))", "(down (word a))", False, "(word a b)"),
+        ("(down (word a))", "(down (word a b))", True, None)])
+    def test_closed_sets_are_compared_by_extent(self, capsys, left, right,
+                                                result, witness):
+        # A closed term has no open normal form, so it is kept as written
+        # and the inclusion is decided by extents at the default bound.
+        code, doc = run_cli(capsys, "eval", "includes", left, right,
+                            "--space", WORDS)
+        assert code == 0
+        assert doc == {"bound": 4, "query": "includes", "result": result,
+                       "via": "extent", "witness": witness}
+
     def test_leq(self, capsys):
         code, doc = run_cli(capsys, "eval", "leq", "(word a b)", "(word a a b)",
                             "--space", "(words (fin a b))")

@@ -20,7 +20,7 @@ from noethkit.expanders import (
     tdown,
     trivial_stage,
 )
-from noethkit.ordinal import ONE, ZERO, Ordinal, parse_ordinal
+from noethkit.ordinal import ONE, parse_ordinal
 from noethkit.sets import (
     BaseOpen,
     ComplementOf,
@@ -70,6 +70,35 @@ class TestBound:
                                    bound=-1)
         assert check_respects_subsets(PrefixExpander(AB), stage1, WholeC(),
                                       bound=0).equal
+
+
+class TestCounts:
+    """A negative step count or chain length and a cap below 1 are errors,
+    not a lone trivial stage, an empty chain or a capped stage."""
+
+    def test_apply(self):
+        for cap in (0, -5):
+            with pytest.raises(ExpanderError,
+                               match="cap must be at least 1, got %d" % cap):
+                apply(SubwordExpander(AB), trivial_stage(WAB), 4, cap=cap)
+        assert apply(SubwordExpander(AB), trivial_stage(WAB), 4,
+                     cap=1).capped
+
+    def test_iterate(self):
+        with pytest.raises(ExpanderError,
+                           match="steps must be at least 0, got -3"):
+            iterate(SubwordExpander(AB), -3, 4)
+        with pytest.raises(ExpanderError, match="cap must be at least 1"):
+            iterate(SubwordExpander(AB), 0, 4, cap=0)
+        assert len(iterate(SubwordExpander(AB), 0, 4).stages) == 1
+
+    def test_find_bad_chain(self):
+        with pytest.raises(ExpanderError,
+                           match="length must be at least 0, got -1"):
+            find_bad_chain(SubwordExpander(AB), -1, 4)
+        with pytest.raises(ExpanderError, match="cap must be at least 1"):
+            find_bad_chain(SubwordExpander(AB), 0, 4, cap=0)
+        assert find_bad_chain(SubwordExpander(AB), 0, 4).picks == ()
 
 
 class TestNatShift:
@@ -272,8 +301,8 @@ class TestStageReports:
         stage2 = result.stages[2]
         target = WordOpen((UA, UB))
         down = tdown(stage2, target, bound=5)
-        assert depth_of(stage2, target, 5) == Ordinal.from_int(2)
-        assert all(d <= ONE for _, d in down.generators)
+        assert depth_of(stage2, target, 5) == 2
+        assert all(d <= 1 for _, d in down.generators)
         target_ext = ext_set(WAB, target, 5)
         assert all(ext_set(WAB, g, 5) != target_ext for g in down.opens())
 
@@ -282,7 +311,7 @@ class TestStageReports:
         # extent of the stage-1 generator <a>, and (up (word a a a)) has the
         # extent of no generator.
         stage1 = apply(SubwordExpander(AB), trivial_stage(WAB), bound=4)
-        assert depth_of(stage1, UpClosure((w("a"),)), 4) == ONE
+        assert depth_of(stage1, UpClosure((w("a"),)), 4) == 1
         with pytest.raises(ExpanderError):
             depth_of(stage1, UpClosure((w("aaa"),)), 4)
 

@@ -3,9 +3,11 @@ of ordinal words.
 
 Each CLI digest is the SHA-256 of the whole stdout of `cli.main`, recorded
 before the grammar tables replaced the hand-written printers and keys; the
-divisibility rows, before the functor rules moved into their classes.  A
-change to any printed form, to the point or set sort order, or to an
-extent hash shows up here.  The cut digests are described at their table.
+divisibility rows, before the functor rules moved into their classes; the
+iterate rows of the other expanders, before step depths became plain
+integers.  Every CLI expander has a row.  A change to any printed form, to
+the point or set sort order, or to an extent hash shows up here.  The cut
+digests are described at their table.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import itertools
 
 import pytest
 
-from noethkit.cli import main
+from noethkit.cli import EXPANDERS, main
 from noethkit.ordinal import parse_ordinal
 from noethkit.sets import member_closed
 from noethkit.sexpr import parse_point, parse_set, parse_space, print_point
@@ -32,6 +34,16 @@ GOLDEN = [
      "5158783651e722b5b4d736c528eac09a835a1f007cad0061b45c5172da4ed96f"),
     (["badchain", "baditer", "--length", "5", "--bound", "6"],
      "0b89349e5119dd44a45ee52d85982a1868acd62e3b936cd580319b3cf971701e"),
+    (["iterate", "div", "--steps", "5", "--bound", "8"],
+     "e494deb90dbed9d8a5cc5735cd8b274ac3d836dee30e229001b0277d8e9c756c"),
+    (["iterate", "ordsubword", "--steps", "2", "--bound", "4"],
+     "b4018689741b604afe0fae1fc616598d995df9a4c2f4b48507530310aacd062c"),
+    (["iterate", "ordtree", "--steps", "2", "--bound", "3"],
+     "54d970f3b798f39191217bc29f4a083f881b64239c37ed1cee3c8696e0d5a8be"),
+    (["iterate", "unfold-words", "--steps", "3", "--bound", "4"],
+     "426f4d68b5ffffd733e8fb7da4a04d4b2d9c6a9be5642ed10deded6219e745f7"),
+    (["iterate", "unfold-trees", "--steps", "2", "--bound", "4"],
+     "49b2fb64c9c7a48c10ad90570c76a32809be8c55da2e671d513c0d6a9b3cc9b9"),
     (["eval", "extent", "(whole)", "--space", "(ordwords (fin a b) w*2)",
       "--bound", "4"],
      "29c43f0d7ae54ba2fd61c4410d284e2141b967777136ab22fab5d1a2f615083d"),
@@ -65,6 +77,12 @@ def test_cli_json_is_byte_identical(argv, digest):
         code = main(argv)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_every_cli_expander_has_a_golden_row():
+    covered = {argv[1] for argv, _ in GOLDEN
+               if argv[0] in ("iterate", "badchain")}
+    assert set(EXPANDERS) <= covered
 
 
 # -- the cut rules of ordinal words -------------------------------------------
