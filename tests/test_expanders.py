@@ -255,6 +255,16 @@ class TestRespectsSubsets:
         # Both sides agree on the aa-cylinder: it is not reported.
         assert aa not in left
 
+    def test_carrier_is_a_restricted_source(self):
+        # The rule applied to the carrier H = X /\ H itself gives a.H, the
+        # word a and the aa-cylinder, whose cut no generator over the whole
+        # space yields: it is right-only exactly when H is a source.
+        stage1 = apply(PrefixExpander(AB), trivial_stage(WAB), bound=5)
+        h = ComplementOf(PrefixConcat(UB, Whole()))
+        report = check_respects_subsets(PrefixExpander(AB), stage1, h, bound=5)
+        a_h = {w("a")} | ext_set(WAB, _prefix_cylinder("aa"), 5)
+        assert [set(pts) for _, pts in report.right_only] == [a_h]
+
     def test_prefix_rule_fails_on_the_mirror_carrier(self):
         stage1 = apply(PrefixExpander(AB), trivial_stage(WAB), bound=6)
         h = ComplementOf(PrefixConcat(UA, Whole()))

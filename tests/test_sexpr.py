@@ -214,6 +214,8 @@ class TestDocs:
 
 
 class TestErrors:
+    DEEP = "nesting deeper than 100 levels"
+
     def test_unbalanced(self):
         with pytest.raises(SexprError):
             read("(word a")
@@ -221,6 +223,36 @@ class TestErrors:
     def test_trailing(self):
         with pytest.raises(SexprError):
             read("(word a) b")
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("(word a", "missing ')' (line 1, column 1)", 0),
+        ("(a (b", "missing ')' (line 1, column 4)", 3),
+        ("(word a) b", "trailing input (line 1, column 10)", 9),
+        ("id)", "trailing input (line 1, column 3)", 2),
+        (")", "unexpected ')' (line 1, column 1)", 0),
+        ("  \n ", "unexpected end of input", -1),
+        ("(" * 101 + ")" * 101, DEEP + " (line 1, column 101)", 100),
+        # The nesting check wins over the earlier unexpected ')'.
+        (") " + "(" * 102, DEEP + " (line 1, column 104)", 103),
+        ("(word a\n  (b c)\n  d))", "trailing input (line 3, column 5)", 20),
+        ("(a)\n\n  )", "trailing input (line 3, column 3)", 7),
+        # U+001C is whitespace to str.isspace, so ")" is the second token.
+        ("(word a)\x1c)", "trailing input (line 1, column 10)", 9),
+    ])
+    def test_message_and_position(self, text, message, pos):
+        with pytest.raises(SexprError) as info:
+            read(text)
+        assert (str(info.value), info.value.pos) == (message, pos)
+
+    def test_deepest_allowed_nesting(self):
+        expr = read("(" * 100 + ")" * 100)
+        for _ in range(99):
+            assert len(expr) == 1
+            expr = expr[0]
+        assert expr == []
+
+    def test_non_ascii_whitespace_separates_tokens(self):
+        assert read("(word\x1ca\u3000b)") == ["word", "a", "b"]
 
     def test_unknown_constructor(self):
         with pytest.raises(SexprError):
