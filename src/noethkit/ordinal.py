@@ -4,7 +4,7 @@ An ordinal is a finite sum  w^e1*c1 + ... + w^en*cn  with ordinal exponents
 e1 > e2 > ... > en and positive integer coefficients.  The empty sum is 0.
 Normal forms are unique, so structural equality is ordinal equality.
 
-Besides the usual operations (comparison, sum, natural sum) this module
+Besides the usual operations (comparison, sum) this module
 provides the cut/remainder combinatorics used by ordinal-length words:
 given a run of length b, the distinct lengths that can remain after
 removing a prefix form a small finite set, computable from the CNF of b.
@@ -132,19 +132,6 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     return Ordinal(tuple(kept) + tuple(merged))
 
 
-def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Hessenberg sum: merge the CNF term lists (commutative, associative)."""
-    coeffs: dict[Ordinal, int] = {}
-    order: list[Ordinal] = []
-    for exp, coeff in a.terms + b.terms:
-        if exp not in coeffs:
-            coeffs[exp] = 0
-            order.append(exp)
-        coeffs[exp] += coeff
-    order.sort(key=_sort_key, reverse=True)
-    return Ordinal(tuple((e, coeffs[e]) for e in order))
-
-
 def _sort_key(a: Ordinal):
     # Lexicographic tuple mirroring cmp, usable as a Python sort key.
     return tuple((_sort_key(e), c) for e, c in a.terms)
@@ -157,13 +144,6 @@ def classify(a: Ordinal) -> Tuple[str, Optional[Ordinal]]:
     if a.is_successor():
         return ("successor", a.predecessor())
     return ("limit", None)
-
-
-def is_indecomposable(a: Ordinal) -> bool:
-    """Whether a = w^g for some g, i.e. a single CNF term with coefficient 1."""
-    if a.is_zero():
-        raise OrdinalError("0 has no indecomposability status here")
-    return len(a.terms) == 1 and a.terms[0][1] == 1
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -229,6 +229,12 @@ class BaseOpen(_Set):
     def __post_init__(self):
         object.__setattr__(self, "names", frozenset(self.names))
 
+    def __repr__(self):
+        # The names in sorted order, so that an error message naming the
+        # set reads the same under every hash seed.
+        names = ", ".join(map(repr, sorted(self.names)))
+        return "BaseOpen(names=frozenset(%s))" % ("{%s}" % names if names else "")
+
     def member(self, space, p) -> bool:
         # Every subset of a discrete base is upward closed, so only other
         # bases pay the pass over the order (WordOpen asks once per letter).

@@ -21,6 +21,11 @@ decimal token is the natural number point.  Ordinals appear as single
 tokens in the compact syntax, e.g. w^2*3+w+1.  Every printed form parses
 back to the same term.
 
+The reader (`read`) turns a text into nested lists of token strings in
+one pass: the text is split at whitespace and parentheses, and a loop
+with an explicit stack builds the lists.  Positions are worked out only
+for a text that fails to read, in the line and column of its error.
+
 The three entry points `parse_space`, `parse_point` and `parse_set`
 remember the texts they parsed, up to PARSE_MEMO_SIZE each: equal texts
 give the same term object, shared by every caller, which is safe because
@@ -29,10 +34,12 @@ terms are frozen values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from functools import lru_cache, wraps
+from itertools import accumulate, islice
 from operator import attrgetter
-from typing import Union as TUnion
+from typing import NoReturn, Union as TUnion
 
 from . import sets as S
 from . import space as sp
@@ -58,61 +65,49 @@ def read(text: str):
     """Parse one s-expression into nested lists of token strings."""
     if text.isalnum():  # one token, as most point texts are: no scan needed
         return text
-    tokens = _tokenize(text)
-    try:
-        expr, rest = _read_expr(tokens, 0)
-        if rest != len(tokens):
-            raise SexprError("trailing input", tokens[rest][1])
-    except SexprError as exc:
-        if exc.pos >= 0:
-            raise SexprError(str(exc).split(" (")[0], exc.pos, text) from None
-        raise
-    return expr
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    stack = []  # (enclosing items, index of the '(' that opened the list)
+    items = []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append((items, i))
+            if len(stack) > MAX_NESTING:
+                _fail(text, tokens, _TOO_DEEP, i)
+            items = []
+            continue
+        if tok != ")":
+            items.append(tok)
+        elif stack:
+            outer, _ = stack.pop()
+            outer.append(items)
+            items = outer
+        else:  # only as the first token: the text ends with the first form
+            _fail(text, tokens, "unexpected ')'", i)
+        if not stack:
+            if i + 1 < len(tokens):
+                _fail(text, tokens, "trailing input", i + 1)
+            return items[0]
+    if not stack:  # no token at all
+        raise SexprError("unexpected end of input")
+    _fail(text, tokens, "missing ')'", stack[-1][1])
 
 
 # Deeper forms are syntax errors: parsing and evaluation recurse per level.
 MAX_NESTING = 100
+_TOO_DEEP = "nesting deeper than %d levels" % MAX_NESTING
+_TOKEN = re.compile(r"[()]|[^\s()]+")  # \s is str.isspace, as in str.split
 
 
-def _tokenize(text: str):
-    tokens = []
-    depth = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            depth += 1 if ch == "(" else -1
-            if depth > MAX_NESTING:
-                raise SexprError("nesting deeper than %d levels" % MAX_NESTING,
-                                 i, text)
-            tokens.append((ch, i))
-            i += 1
-        else:
-            start = i
-            while i < len(text) and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            tokens.append((text[start:i], start))
-    return tokens
-
-
-def _read_expr(tokens, i):
-    if i >= len(tokens):
-        raise SexprError("unexpected end of input")
-    tok, pos = tokens[i]
-    if tok == "(":
-        items = []
-        i += 1
-        while i < len(tokens) and tokens[i][0] != ")":
-            item, i = _read_expr(tokens, i)
-            items.append(item)
-        if i >= len(tokens):
-            raise SexprError("missing ')'", pos)
-        return items, i + 1
-    if tok == ")":
-        raise SexprError("unexpected ')'", pos)
-    return tok, i + 1
+def _fail(text: str, tokens, msg: str, index: int) -> NoReturn:
+    """Raise `msg` at tokens[index], located in text.  Nesting deeper than
+    MAX_NESTING anywhere in the text is the error instead, reported at its
+    first '(' past the limit, as the limit comes before any parse error."""
+    depths = accumulate((tok == "(") - (tok == ")") for tok in tokens)
+    deep = next((i for i, d in enumerate(depths) if d > MAX_NESTING), None)
+    if deep is not None:
+        msg, index = _TOO_DEEP, deep
+    pos = next(islice(_TOKEN.finditer(text), index, None)).start()
+    raise SexprError(msg, pos, text)
 
 
 def _head(expr, what: str) -> str:

@@ -502,16 +502,24 @@ class TestEnvironment:
                 assert not names & readers, (path.name, node.lineno)
 
 
-def test_error_text_does_not_depend_on_the_hash_seed():
+HASH_SEED_ERRORS = [
     # The message names the space, whose relation is a frozenset of pairs.
+    ["eval", "includes", "(up (word c))", "(up (word a))", "--space", WORDS],
+    # The message names the set, whose base names are a frozenset.
+    ["eval", "member", "a", "(amo (compl (base a b c)))",
+     "--space", "(fin a b c)"],
+]
+
+
+def test_error_text_does_not_depend_on_the_hash_seed():
     src = str(Path(noethkit.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "noethkit.cli", "eval", "includes",
-            "(up (word c))", "(up (word a))", "--space", WORDS]
-    outs = {subprocess.run(argv, capture_output=True, check=False,
-                           env=dict(os.environ, PYTHONPATH=src,
-                                    PYTHONHASHSEED=seed)).stdout
-            for seed in ("1", "3")}
-    assert len(outs) == 1 and b'"kind": "domain"' in outs.pop()
+    for args in HASH_SEED_ERRORS:
+        argv = [sys.executable, "-m", "noethkit.cli"] + args
+        outs = {subprocess.run(argv, capture_output=True, check=False,
+                               env=dict(os.environ, PYTHONPATH=src,
+                                        PYTHONHASHSEED=seed)).stdout
+                for seed in ("1", "3")}
+        assert len(outs) == 1 and b'"kind": "domain"' in outs.pop(), args
 
 
 def test_long_words_enumerate_without_recursion(capsys):

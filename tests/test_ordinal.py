@@ -16,10 +16,8 @@ from noethkit.ordinal import (
     cmp,
     format_ordinal,
     from_json,
-    is_indecomposable,
     left_subtract,
     limit_finite_split,
-    natural_sum,
     parse_ordinal,
     run_cuts,
     to_json,
@@ -173,67 +171,6 @@ class TestClassify:
     def test_classify_of_plus_one(self, a):
         kind, pred = classify(add(a, ONE))
         assert kind == "successor" and pred == a
-
-
-class TestIndecomposable:
-    def test_one(self):
-        assert is_indecomposable(ONE)
-
-    def test_omega_times_two(self):
-        assert not is_indecomposable(parse_ordinal("w*2"))
-
-    def test_omega_to_omega(self):
-        # Oracle: no split b = g + d with g, d < b among table splits.
-        b = Ordinal.omega_power(OMEGA)
-        for tg, td in itertools.product(TABLE, repeat=2):
-            g, d = tri(*tg), tri(*td)
-            if cmp(g, b) < 0 and cmp(d, b) < 0:
-                assert add(g, d) != b
-        assert is_indecomposable(b)
-
-    def test_splits_detect_decomposable(self):
-        b = parse_ordinal("w + 1")
-        assert not is_indecomposable(b)
-        assert any(
-            add(tri(*tg), tri(*td)) == b and tri(*tg) < b and tri(*td) < b
-            for tg, td in itertools.product(TABLE[:32], repeat=2)
-        )
-
-    def test_zero_rejected(self):
-        with pytest.raises(OrdinalError):
-            is_indecomposable(ZERO)
-
-
-class TestNaturalSum:
-    def test_zero_unit(self):
-        assert natural_sum(ZERO, OMEGA) == OMEGA
-
-    def test_merge(self):
-        # Oracle: merge-and-sort of term lists, via triple addition.
-        assert natural_sum(parse_ordinal("w + 1"), OMEGA) == parse_ordinal("w*2 + 1")
-        assert tri_add((0, 1, 1), (0, 1, 0)) == (0, 2, 0)  # plain add drops the +1
-
-    def test_agrees_with_componentwise_triples(self):
-        for ta, tb in itertools.product(TABLE[:40], TABLE[:40]):
-            want = tuple(x + y for x, y in zip(ta, tb))
-            assert natural_sum(tri(*ta), tri(*tb)) == tri(*want)
-
-    @given(ordinals(), ordinals())
-    def test_commutative(self, a, b):
-        assert natural_sum(a, b) == natural_sum(b, a)
-
-    @given(ordinals(), ordinals(), ordinals())
-    def test_associative(self, a, b, c):
-        assert natural_sum(natural_sum(a, b), c) == natural_sum(a, natural_sum(b, c))
-
-    @given(ordinals(), ordinals())
-    def test_dominates_ordinal_sum(self, a, b):
-        assert cmp(natural_sum(a, b), add(a, b)) >= 0
-
-    @given(ordinals(), ordinals(), ordinals())
-    def test_strictly_monotone(self, a, b, c):
-        if cmp(a, b) < 0:
-            assert cmp(natural_sum(a, c), natural_sum(b, c)) < 0
 
 
 class TestSyntax:
