@@ -7,42 +7,46 @@ prefix cylinders (the non-up-closed opens of the prefix topology).  Closed
 expressions cover downward closures, complements, and ordinal products of
 F^{<b} / F^{<=1} atoms.
 
-Each constructor is a class holding its meaning: `member(space, p)`, its
-membership; for an open, `normal()`, its own rewrites once its open fields
-are normal (`normalize_open` is the fold, `normalize_opens` the fold of a
-family that folds each shared subterm object once); and, where it has one,
-`mask`, its extent rule from its parts' masks or the oracle's tables.  The
-closed twins of Empty, Whole, Union and Intersect take their membership
-and mask rules, so open and closed membership are one recursion and open
-and closed extents one algorithm; ComplementOf and CarrierOpen read their
-part's mask.  Only the leaf constructors, with no rule over their parts'
-masks, take the default mask, a filter of the universe by membership;
-a word or tree rule over a space of another kind raises the domain error
-its membership raises, even over an empty universe.
+Each constructor is a class holding its meaning: `check(space)`, whether
+the term fits the space, with the space guard of the constructor and the
+space each field is read in; `member(space, p)`, its membership; for an
+open, `normal()`, its own rewrites once its open fields are normal
+(`normalize_open` is the fold, `normalize_opens` the fold of a family that
+folds each shared subterm object once); and, where it has one, `mask`, its
+extent rule from its parts' masks or the oracle's tables.  The closed twins
+of Empty, Whole, Union and Intersect take their check, membership and mask
+rules, so open and closed membership are one recursion and open and closed
+extents one algorithm; ComplementOf and CarrierOpen read their part's
+mask.  Only the leaf constructors, with no rule over their parts' masks,
+take the default mask, a filter of the universe by membership.
 Adding a constructor takes its class with these rules, its place in
 `OpenExpr` or `ClosedExpr`, and one `sexpr` grammar row.  Word and tree
 points are read only through the rules of their space (see `space`), never
 by their point class.
+
+A term is checked once where it enters the library (`member_open`,
+`includes`, `spec_leq`, `base_complement`, and `ExtentOracle.mask` on a
+memo miss), parts that no rule reads included, so a term that does not fit
+is a domain error even over an empty universe.  The `member` and `mask`
+rules trust the check: they test no space.
 
 Membership is structural recursion, exact except for two ConcatUp gaps:
 it samples the prefixes that `OrdWords.splits` pairs with the exact
 remainders of an infinite run, and it takes only exact splits, while the
 extent is the upward closure of the concatenation (at bound 3 the extent
 of `(concatup (prefix (base a) (whole)) (wordopen (base b)))` over words
-holds `(word b a b)`, not a member).  The point it is asked about is
-typechecked once at entry; the points of each closure it reads are
-typechecked once per read, and a point that does not typecheck is a
-domain error.  The universal fallback oracle is `extent`: an enumerated
-finite universe held as an int bitmask, where up-closures are read from
-the up table of the point order, the word rules (concatenation, suffix
-triangle, prefix cylinder, and the letter pattern as the suffix closure
-of a prefix cylinder) and the substructure rules (tree opens,
-substructure closures) from one table of mask rows keyed by relation
-(see `ExtentOracle`), the Boolean combinations from their parts' masks,
-and the leaf constructors by membership, with lattice questions decided by
-`meet_table`.  The oracle memoizes masks per term.  Each set term keeps
-its hash once computed (`_kept_hash`), so a memo probe does not walk the
-term again; points and spaces are hashed afresh.
+holds `(word b a b)`, not a member).  The universal fallback oracle is
+`extent`: an enumerated finite universe held as an int bitmask, where
+up-closures are read from the up table of the point order, the word
+rules (concatenation, suffix triangle, prefix cylinder, and the letter
+pattern as the suffix closure of a prefix cylinder) and the substructure
+rules (tree opens, substructure closures) from one table of mask rows
+keyed by relation (see `ExtentOracle`), the Boolean combinations from
+their parts' masks, and the leaf constructors by membership, with
+lattice questions decided by `meet_table`.  The oracle memoizes masks per
+term.  Each set term keeps its hash once computed (`_kept_hash`), so a
+memo probe does not walk the term again; points and spaces are hashed
+afresh.
 `includes` is three-valued, with two exact fragments (unions of upward
 closures, and the letter-pattern inclusion rule) and an extent fallback
 that records its bound.
@@ -100,16 +104,16 @@ DEFAULT_BOUND = 4
 
 
 class _Set:
-    """Defaults of the constructors: no membership (the product atoms are no
-    sets), and a mask that filters the universe by membership, the extent
-    of the leaf constructors, which have no rule over their parts' masks.
-    Each `member` rule trusts p to typecheck in the space (`member_open`
-    checks)."""
+    """Defaults of the constructors: a check that fails (the product atoms
+    are no sets), and a mask that filters the universe by membership, the
+    extent of the leaf constructors, which have no rule over their parts'
+    masks.  Each `member` and `mask` rule trusts the term to fit the space
+    and p to typecheck in it (`check` and the entry points check both)."""
 
     strict = True  # an open with an empty open field is empty
     _hash = None  # the term's hash, kept on first use (see `_kept_hash`)
 
-    def member(self, space, p) -> bool:
+    def check(self, space) -> None:
         raise SetError("not an open expression: %r" % (self,))
 
     def mask(self, oracle: ExtentOracle) -> int:
@@ -132,6 +136,9 @@ def _no_rewrite(u):
 class Empty(_Set):
     normal = _no_rewrite
 
+    def check(self, space) -> None:
+        """A constant fits every space."""
+
     def member(self, space, p) -> bool:
         return False
 
@@ -141,7 +148,7 @@ class Empty(_Set):
 
 @dataclass(frozen=True)
 class Whole(_Set):
-    normal = _no_rewrite
+    normal, check = _no_rewrite, Empty.check
 
     def member(self, space, p) -> bool:
         return True
@@ -156,11 +163,15 @@ class Union(_Set):
     strict = False
     unit, absorbing = Empty, Whole  # the part that drops out, and that wins
 
+    def check(self, space) -> None:
+        for part in self.parts:
+            part.check(space)
+
     def member(self, space, p) -> bool:
         return any(part.member(space, p) for part in self.parts)
 
     def mask(self, oracle) -> int:
-        return reduce(or_, map(oracle.mask, self.parts), 0)
+        return reduce(or_, map(oracle._mask, self.parts), 0)
 
     def normal(self):
         parts = []
@@ -182,12 +193,13 @@ class Union(_Set):
 class Intersect(_Set):
     parts: Tuple[OpenExpr, ...]
     unit, absorbing = Whole, Empty
+    check = Union.check
 
     def member(self, space, p) -> bool:
         return all(part.member(space, p) for part in self.parts)
 
     def mask(self, oracle) -> int:
-        return reduce(and_, map(oracle.mask, self.parts), oracle.full)
+        return reduce(and_, map(oracle._mask, self.parts), oracle.full)
 
     normal = Union.normal
 
@@ -198,17 +210,17 @@ class UpClosure(_Set):
 
     points: Tuple[PointTerm, ...]
 
+    def check(self, space) -> None:
+        _require_fit(space, dict.fromkeys(self.points))
+
     def member(self, space, p) -> bool:
-        # The points are checked once per call, then compared with `_leq`.
-        _require_points(space, self.points)
         return any(_leq(space, e, p) for e in self.points)
 
     def mask(self, oracle) -> int:
         # The universe is downward closed (see space.enumerate_points), so a
         # point outside it has nothing above it there: only the rows of the
         # points inside count.
-        return oracle._up_of(oracle.mask_of(
-            _checked_points(oracle.space, self.points)))
+        return oracle._up_of(oracle.mask_of(self.points))
 
     def normal(self):
         if not self.points:
@@ -235,9 +247,9 @@ class BaseOpen(_Set):
         names = ", ".join(map(repr, sorted(self.names)))
         return "BaseOpen(names=frozenset(%s))" % ("{%s}" % names if names else "")
 
-    def member(self, space, p) -> bool:
+    def check(self, space) -> None:
         # Every subset of a discrete base is upward closed, so only other
-        # bases pay the pass over the order (WordOpen asks once per letter).
+        # bases pay the pass over the order.
         names = self.names
         if not (isinstance(space, FiniteQO) and names <= space.element_set):
             raise SetError("%s needs a finite base holding its names, got %r"
@@ -246,7 +258,9 @@ class BaseOpen(_Set):
                                          if x in names):
             raise SetError("%s is not upward closed in %r"
                            % (self._shown(), space))
-        return p.name in names
+
+    def member(self, space, p) -> bool:
+        return p.name in self.names
 
     def _shown(self) -> str:
         return "(base%s)" % "".join(" " + n for n in sorted(self.names))
@@ -258,9 +272,13 @@ class Rect(_Set):
     right: OpenExpr
     normal = _no_rewrite
 
-    def member(self, space, p) -> bool:
+    def check(self, space) -> None:
         if not isinstance(space, Product):
             raise SetError("Rect needs a product space")
+        self.left.check(space.left)
+        self.right.check(space.right)
+
+    def member(self, space, p) -> bool:
         return (self.left.member(space.left, p.left)
                 and self.right.member(space.right, p.right))
 
@@ -272,9 +290,13 @@ class SumOpen(_Set):
     normal = _no_rewrite
     strict = False
 
-    def member(self, space, p) -> bool:
+    def check(self, space) -> None:
         if not isinstance(space, Sum):
             raise SetError("SumOpen needs a sum space")
+        self.left.check(space.left)
+        self.right.check(space.right)
+
+    def member(self, space, p) -> bool:
         if isinstance(p, InL):
             return self.left.member(space.left, p.value)
         return self.right.member(space.right, p.value)
@@ -289,19 +311,20 @@ class WordOpen(_Set):
 
     parts: Tuple[OpenExpr, ...]
 
+    def check(self, space) -> None:
+        Union.check(self, _word_space_base(space))
+
     def member(self, space, p) -> bool:
-        base = _word_space_base(space)
-        fits = lambda part, letter: part.member(base, letter)
+        fits = lambda part, letter: part.member(space.base, letter)
         return space.pattern_leq(self.parts, p, fits)
 
     # <U1,...,Un> = upsub(U1.<U2,...,Un>) for every part, by the definition
     # of the match: some suffix starts with a letter of U1 and goes on into
     # the tail.  The tails are memoized as they recur.
     def mask(self, oracle) -> int:
-        _word_space_base(oracle.space)
         if not self.parts:
             return oracle.full
-        return oracle.mask(UpSubstructure(
+        return oracle._mask(UpSubstructure(
             PrefixConcat(self.parts[0], WordOpen(self.parts[1:]))))
 
     def normal(self):
@@ -315,21 +338,24 @@ class ConcatUp(_Set):
     left: OpenExpr
     right: OpenExpr
 
-    def member(self, space, p) -> bool:
+    def check(self, space) -> None:
         _word_space_base(space)
+        self.left.check(space)
+        self.right.check(space)
+
+    def member(self, space, p) -> bool:
         return any(self.left.member(space, prefix)
                    and self.right.member(space, suffix)
                    for prefix, suffix in space.splits(p))
 
     def mask(self, oracle) -> int:
-        _word_space_base(oracle.space)
         # up(LR) restricted to the universe: glue the bounded extents and
         # close upward (anything above a too-long glue is too long too).
         # Concatenation is monotone, so gluing the minimal elements of each
         # side suffices.
-        right = list(_bits(oracle._minimals(oracle.mask(self.right))))
+        right = list(_bits(oracle._minimals(oracle._mask(self.right))))
         glued = 0
-        for i in _bits(oracle._minimals(oracle.mask(self.left))):
+        for i in _bits(oracle._minimals(oracle._mask(self.left))):
             row = oracle._glue_rows(i)
             for j in right:
                 glued |= row[j]
@@ -354,6 +380,12 @@ class TreeOpen(_Set):
     children_open: OpenExpr
     normal = _no_rewrite
 
+    def check(self, space) -> None:
+        if not isinstance(space, (Trees, OrdTrees)):
+            raise SetError("TreeOpen needs a tree point")
+        self.root_open.check(space.base)
+        self.children_open.check(_forest_space(space))
+
     def member(self, space, p) -> bool:
         kids_space = _forest_space(space)
         return any(self.root_open.member(space.base, sub.label)
@@ -368,7 +400,7 @@ class TreeOpen(_Set):
         space = oracle.space
         kids_space = _forest_space(space)
         base = oracle_for(space.base, oracle.bound)
-        roots = base.mask(self.root_open)
+        roots = base._mask(self.root_open)
         return oracle._with_substructure_in(_mask_where([
             roots >> base.index[t.label] & 1
             and self.children_open.member(kids_space, space.forest(t))
@@ -384,6 +416,10 @@ class Triangle(_Set):
     inner: OpenExpr
     strict = False  # 0 |> U is the whole space, U empty or not
 
+    def check(self, space) -> None:
+        _word_space_base(space)
+        self.inner.check(space)
+
     def member(self, space, p) -> bool:
         return all(self.inner.member(space, s)
                    for s in _suffixes_past(space, p, self.beta))
@@ -392,8 +428,7 @@ class Triangle(_Set):
     # instead took the bench `restrict` wall_s up 2- to 2.4-fold.
     def mask(self, oracle) -> int:
         space, beta = oracle.space, self.beta
-        _word_space_base(space)
-        outside = ~oracle.mask(self.inner)
+        outside = ~oracle._mask(self.inner)
         rows = oracle._rows(("suffix", beta),
                             lambda p: _suffixes_past(space, p, beta))
         return _mask_where([not row & outside for row in rows])
@@ -412,12 +447,16 @@ class RTimes(_Set):
     closed: ClosedExpr
     inner: OpenExpr
 
+    def check(self, space) -> None:
+        self.closed.check(_word_space_base(space))
+        self.inner.check(space)
+
     def member(self, space, p) -> bool:
         # Sound always; complete when the inner set is upward closed and the
         # guard is downward closed (true for every constructed instance):
         # the run-initial suffixes then dominate all in-run choices of the
         # position.
-        base, word = _word_space_base(space), space.runs(p)
+        base, word = space.base, space.runs(p)
         return any(
             not self.closed.member(base, letter)
             and self.inner.member(space, space.point(ow_suffix_from(word, i)))
@@ -436,19 +475,22 @@ class PrefixConcat(_Set):
     rest: OpenExpr
     normal = _no_rewrite
 
+    def check(self, space) -> None:
+        self.letters.check(_word_space_base(space))
+        self.rest.check(space)
+
     def member(self, space, p) -> bool:
-        base = _word_space_base(space)
         step = space.uncons(p)
-        return (step is not None and self.letters.member(base, step[0])
+        return (step is not None and self.letters.member(space.base, step[0])
                 and self.rest.member(space, step[1]))
 
     # The prepend rows read against the tail's mask.  Exact on the
     # finite-run universe, where uncons and cons undo each other.
     def mask(self, oracle) -> int:
-        base = oracle_for(_word_space_base(oracle.space), oracle.bound)
-        rest = list(_bits(oracle.mask(self.rest)))
+        base = oracle_for(oracle.space.base, oracle.bound)
+        rest = list(_bits(oracle._mask(self.rest)))
         out = 0
-        for letter in base.points(base.mask(self.letters)):
+        for letter in base.points(base._mask(self.letters)):
             row = oracle._cons_rows(letter)
             for i in rest:
                 out |= row[i]
@@ -462,13 +504,16 @@ class UpSubstructure(_Set):
 
     inner: OpenExpr
 
+    def check(self, space) -> None:
+        if not hasattr(space, "substructures"):
+            raise SetError("no substructure order on %r" % (space,))
+        self.inner.check(space)
+
     def member(self, space, p) -> bool:
-        _substructure_space(space)
         return any(self.inner.member(space, s) for s in space.substructures(p))
 
     def mask(self, oracle) -> int:
-        _substructure_space(oracle.space)
-        return oracle._with_substructure_in(oracle.mask(self.inner))
+        return oracle._with_substructure_in(oracle._mask(self.inner))
 
     def normal(self):
         return Whole() if isinstance(self.inner, Whole) else self
@@ -481,11 +526,14 @@ class CarrierOpen(_Set):
     closed: ClosedExpr
     normal = _no_rewrite
 
+    def check(self, space) -> None:
+        self.closed.check(space)
+
     def member(self, space, p) -> bool:
         return self.closed.member(space, p)
 
     def mask(self, oracle) -> int:
-        return oracle.mask(self.closed)
+        return oracle._mask(self.closed)
 
 
 OpenExpr = TUnion[Empty, Whole, Union, Intersect, UpClosure, BaseOpen, Rect,
@@ -498,33 +546,33 @@ OpenExpr = TUnion[Empty, Whole, Union, Intersect, UpClosure, BaseOpen, Rect,
 
 @dataclass(frozen=True)
 class EmptyC(_ClosedSet):
-    member, mask = Empty.member, Empty.mask
+    check, member, mask = Empty.check, Empty.member, Empty.mask
 
 
 @dataclass(frozen=True)
 class WholeC(_ClosedSet):
-    member, mask = Whole.member, Whole.mask
+    check, member, mask = Whole.check, Whole.member, Whole.mask
 
 
 @dataclass(frozen=True)
 class UnionC(_ClosedSet):
     parts: Tuple[ClosedExpr, ...]
-    member, mask = Union.member, Union.mask
+    check, member, mask = Union.check, Union.member, Union.mask
 
 
 @dataclass(frozen=True)
 class IntersectC(_ClosedSet):
     parts: Tuple[ClosedExpr, ...]
-    member, mask = Intersect.member, Intersect.mask
+    check, member, mask = Intersect.check, Intersect.member, Intersect.mask
 
 
 @dataclass(frozen=True)
 class DownClosure(_ClosedSet):
     points: Tuple[PointTerm, ...]
+    check = UpClosure.check
 
     def member(self, space, p) -> bool:
         # UpClosure's rule with the comparison reversed.
-        _require_points(space, self.points)
         return any(_leq(space, p, e) for e in self.points)
 
 
@@ -532,11 +580,14 @@ class DownClosure(_ClosedSet):
 class ComplementOf(_ClosedSet):
     open: OpenExpr
 
+    def check(self, space) -> None:
+        self.open.check(space)
+
     def member(self, space, p) -> bool:
         return not self.open.member(space, p)
 
     def mask(self, oracle) -> int:
-        return oracle.full & ~oracle.mask(self.open)
+        return oracle.full & ~oracle._mask(self.open)
 
 
 @dataclass(frozen=True)
@@ -568,9 +619,13 @@ class OrdProduct(_ClosedSet):
 
     atoms: Tuple[ProductAtom, ...]
 
+    def check(self, space) -> None:
+        base = _word_space_base(space)
+        for atom in self.atoms:
+            atom.closed.check(base)
+
     def member(self, space, p) -> bool:
-        return _match_product(_word_space_base(space), self.atoms,
-                              space.runs(p))
+        return _match_product(space.base, self.atoms, space.runs(p))
 
 
 ClosedExpr = TUnion[EmptyC, WholeC, UnionC, IntersectC, DownClosure,
@@ -601,45 +656,38 @@ for _cls in _TERMS:
 
 def member_open(space: SpaceExpr, p: PointTerm, u) -> bool:
     """Whether p lies in the set u, open or closed."""
-    _require_point(space, p)
+    _require_fit(space, (p,))
+    u.check(space)
     return u.member(space, p)
 
 
 member_closed = member_open
 
 
-def _require_point(space: SpaceExpr, p: PointTerm) -> None:
-    """`_require_points` for the point asked about, whose error is a
-    SetError."""
+def _require_fit(space: SpaceExpr, points) -> None:
+    """`_require_points`, whose error is a SetError."""
     try:
-        _require_points(space, (p,))
+        _require_points(space, points)
     except SpaceError as exc:
         raise SetError(*exc.args) from None
 
 
 def _word_space_base(space):
+    """The letter space of a word space, the guard of the word rules."""
     if isinstance(space, (Words, OrdWords)):
         return space.base
     raise SetError("word operation over non-word space %r" % (space,))
-
-
-def _substructure_space(space):
-    if not hasattr(space, "substructures"):
-        raise SetError("no substructure order on %r" % (space,))
 
 
 def _forest_space(space):
     """The space of the forests (children words) of a tree space."""
     if isinstance(space, Trees):
         return Words(space)
-    if isinstance(space, OrdTrees):
-        return OrdWords(space, space.alpha)
-    raise SetError("TreeOpen needs a tree point")
+    return OrdWords(space, space.alpha)
 
 
 def _suffixes_past(space, p, beta: Ordinal):
     """The suffixes of the word p past every position < beta, as points."""
-    _word_space_base(space)  # a word space, or the domain error
     return map(space.point, ow_suffixes_strictly_after(space.runs(p), beta))
 
 
@@ -781,9 +829,10 @@ class ExtentOracle:
     its parts' masks (a closed twin by its open twin's rule, a complement
     or a carrier from its part's), from the tables below, or, for a leaf
     constructor, by the default pass of membership over the universe.
-    Universe points typecheck by
-    construction, so the oracle calls the memoised point order `_leq`
-    without `point_leq`'s checks.
+    `mask` checks a term it has no mask of yet (`_Set.check`); the rules
+    read the masks of their parts, which that check covered, by `_mask`.
+    Universe points typecheck by construction, so the oracle calls the
+    memoised point order `_leq` without `point_leq`'s checks.
 
     The word and substructure rules read the universe through one table
     of mask rows, `_relations`, keyed by relation and filled on first read
@@ -814,6 +863,15 @@ class ExtentOracle:
         self._relations: Dict[object, List[int]] = {}
 
     def mask(self, s) -> int:
+        """The mask of the set s, checked against the space on a miss."""
+        got = (self._closed if isinstance(s, _ClosedSet) else self._open).get(s)
+        if got is None:
+            s.check(self.space)
+            got = self._mask(s)
+        return got
+
+    def _mask(self, s) -> int:
+        """`mask` of a term whose check is done."""
         # Memoized on the expression itself; structurally equal expressions
         # share an entry.  A term hashes once (`_kept_hash`), so a probe
         # costs no walk of the term, nor does the store after a miss.
@@ -963,6 +1021,14 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
     """Three-valued inclusion a <= b.  Exact on unions of upward closures and
     on letter-pattern word opens; otherwise decided by extents at `bound`
     (the bound is recorded in the result)."""
+    a.check(space)
+    b.check(space)
+    return _includes(space, a, b, bound)
+
+
+def _includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
+              bound: int) -> IncludesResult:
+    """`includes` of two opens whose check is done."""
     a = normalize_open(a)
     b = normalize_open(b)
     if isinstance(a, Empty) or isinstance(b, Whole) or a == b:
@@ -970,7 +1036,7 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
     if isinstance(a, Union):
         carried = None  # the bound of the last part decided by extents
         for part in a.parts:
-            r = includes(space, part, b, bound)
+            r = _includes(space, part, b, bound)
             if r.value is not True:
                 return r
             if r.bound is not None:
@@ -979,11 +1045,8 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
     up_a = _as_up_points(a)
     up_b = _as_up_points(b)
     if up_a is not None and up_b is not None:
-        # Every point of both sides is typechecked once, so the comparisons
-        # need no typecheck, and a point of a found among those of b is
-        # covered by reflexivity.
+        # A point of a found among those of b is covered by reflexivity.
         up_b = tuple(dict.fromkeys(up_b))
-        _require_points(space, dict.fromkeys(up_a + up_b))
         known = set(up_b)
         for f in up_a:
             if f not in known and not any(_leq(space, g, f) for g in up_b):
@@ -993,7 +1056,7 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
         return _word_open_rule(space, a, b, bound)
     if isinstance(b, Union):
         for part in b.parts:
-            r = includes(space, a, part, bound)
+            r = _includes(space, a, part, bound)
             if r.value is True:
                 return IncludesResult(True, "union-right", bound=r.bound)
     try:
@@ -1008,7 +1071,7 @@ def includes(space: SpaceExpr, a: OpenExpr, b: OpenExpr,
 
 def _least_outside(oracle: ExtentOracle, a, b) -> Optional[PointTerm]:
     """The least point (by canonical key) in the extent of a but not of b."""
-    diff = oracle.mask(a) & ~oracle.mask(b)
+    diff = oracle._mask(a) & ~oracle._mask(b)
     return min(oracle.points(diff), key=canonical_key) if diff else None
 
 
@@ -1033,12 +1096,11 @@ def _word_open_rule(space, a: WordOpen, b: WordOpen, bound) -> IncludesResult:
     the Higman match of b's parts into a's, where a part fits the parts
     that it includes.  A True answer carries the bound its letter
     inclusions were decided at when one of them was decided by extents."""
-    base = _word_space_base(space)
     bounded = False  # whether an inclusion the match used had a bound
 
     def fits(v, u) -> bool:
         nonlocal bounded
-        r = includes(base, u, v, bound)
+        r = _includes(space.base, u, v, bound)
         bounded = bounded or (r.value is True and r.bound is not None)
         return r.value is True
 
@@ -1063,34 +1125,32 @@ def find_good_index(space: SpaceExpr, seq, bound: int = DEFAULT_BOUND):
     enters and compared with the known points, newest first, until one
     lies below it.  So the cost is up to quadratic in the log's distinct
     points, not linear: a coverability log of 25 opens over 125 distinct
-    points takes 1,465 comparisons.  Any other open, and the one index
-    found included, is asked of `includes` against the union of its
-    predecessors, which gives the evidence."""
+    points takes 1,465 comparisons.  An open of another shape, or one whose
+    normal form is another term (normalising may drop a part), is checked
+    whole as it is read (`_Set.check`).  An open of another shape, and the
+    one index found included, is asked of `includes` against the union of
+    its predecessors, which gives the evidence."""
     known: Dict[PointTerm, None] = {}  # the points read so far, oldest first
     all_up = True
     for i, u in enumerate(seq):
-        points = _as_up_points(normalize_open(u)) if all_up else None
+        v = normalize_open(u) if all_up else None
+        points = None if v is None else _as_up_points(v)
+        if points is None or v is not u:
+            u.check(space)
         if points is None:
             all_up = False
             candidate = True
         else:
-            fresh = _checked_points(space,
-                                    (f for f in points if f not in known))
+            fresh = tuple(dict.fromkeys(f for f in points if f not in known))
+            _require_points(space, fresh)
             candidate = all(any(_leq(space, g, f) for g in reversed(known))
                             for f in fresh)
             known.update(dict.fromkeys(fresh))
         if candidate:
-            r = includes(space, u, Union(tuple(seq[:i])), bound)
+            r = _includes(space, u, Union(tuple(seq[:i])), bound)
             if r.value is True:
                 return i, r
     return None
-
-
-def _checked_points(space: SpaceExpr, points) -> Tuple[PointTerm, ...]:
-    """The distinct points of a closure, each typechecked once."""
-    points = tuple(dict.fromkeys(points))
-    _require_points(space, points)
-    return points
 
 
 # -- closures, restriction, specialisation ------------------------------------
@@ -1107,7 +1167,7 @@ def closure_point(space: SpaceExpr, p: PointTerm) -> ClosedExpr:
     """Topological closure of a single point.  Over word spaces this is the
     product of per-letter down-closures (one AtMostOne atom per letter),
     defined for finite-length words; elsewhere it is the down-closure."""
-    _require_point(space, p)
+    _require_fit(space, (p,))
     if isinstance(space, (Words, OrdWords)):
         letters = ord_to_word(space.runs(p)).letters
         return OrdProduct(tuple(AtMostOne(DownClosure((letter,)))
@@ -1180,12 +1240,12 @@ def lattice_contains(table: List[int], target: int) -> bool:
 def spec_leq(t: TopologyDesc, x: PointTerm, y: PointTerm) -> bool:
     """Specialisation preorder of the generated topology: every subbasic open
     containing x contains y."""
-    _require_point(t.space, x)
-    _require_point(t.space, y)
-    for u in t.effective_subbasis():
-        if u.member(t.space, x) and not u.member(t.space, y):
-            return False
-    return True
+    _require_fit(t.space, (x, y))
+    opens = t.effective_subbasis()
+    for u in opens:
+        u.check(t.space)
+    return not any(u.member(t.space, x) and not u.member(t.space, y)
+                   for u in opens)
 
 
 def spec_leq_restricted(t: TopologyDesc, h: ClosedExpr, x: PointTerm,
@@ -1202,6 +1262,7 @@ def base_complement(base: SpaceExpr, f: ClosedExpr) -> BaseOpen:
     """Complement of a closed subset of a finite base, as a BaseOpen."""
     if not isinstance(base, FiniteQO):
         raise SetError("base complement needs a finite base")
+    f.check(base)
     names = frozenset(n for n in base.elements
                       if not f.member(base, Atom(n)))
     return BaseOpen(names)

@@ -418,6 +418,25 @@ MALFORMED = [
                   "--space", WORDS], None, 1, id="member-up-ill-typed"),
     pytest.param(["eval", "member", "(word a)", "(down (word a) (word c))",
                   "--space", WORDS], None, 1, id="member-down-ill-typed"),
+    # A part that no rule reads is checked against the space too.
+    pytest.param(["eval", "member", "(word a)",
+                  "(union (up (word a)) (up (word c)))", "--space", WORDS],
+                 None, 1, id="member-unread-ill-typed-part"),
+    pytest.param(["eval", "member", "(word a)",
+                  "(unionc (wholec) (down (word c)))", "--space", WORDS],
+                 None, 1, id="member-unread-closed-part"),
+    pytest.param(["eval", "member", "(word a)",
+                  "(union (whole) (rect (whole) (whole)))", "--space", WORDS],
+                 None, 1, id="member-unread-rect-over-words"),
+    pytest.param(["eval", "includes", "(up (word c))", "(whole)",
+                  "--space", WORDS], None, 1,
+                 id="includes-ill-typed-left-below-whole"),
+    pytest.param(["eval", "includes", "(up (word c))", "(up (word c))",
+                  "--space", WORDS], None, 1,
+                 id="includes-ill-typed-equal-sides"),
+    pytest.param(["eval", "includes", "(empty)", "(base c)",
+                  "--space", WORDS], None, 1,
+                 id="includes-empty-below-base-over-words"),
     pytest.param(["eval", "extent", "(whole)", "--space", "(fin 5 6)"],
                  None, 2, id="numeral-name"),
     pytest.param(["eval", "member", "(word a)", "(union (down (word a)))",

@@ -518,6 +518,15 @@ class TestGoodIndex:
         with pytest.raises(SpaceError):
             find_good_index(space, prefix + [last] + seq[at:], GOOD_BOUND)
 
+    # A leaf of another shape, and an open that normalises to the empty
+    # open, whose points say nothing of its ill-formed part.
+    @pytest.mark.parametrize("u", [
+        BaseOpen(frozenset("c")),
+        Intersect((Empty(), BaseOpen(frozenset("c"))))], ids=["leaf", "dropped"])
+    def test_open_read_is_checked_whole(self, u):
+        with pytest.raises(SetError, match="needs a finite base"):
+            find_good_index(WAB, [UpClosure((w("a"),)), u])
+
 
 def _as_points(u):
     if isinstance(u, UpClosure):
@@ -1573,6 +1582,61 @@ class TestConstructorRules:
         assert ("mask" in vars(cls)) == (cls not in self.FILTERED)
 
 
+# One term per set class that does not fit Nat(): by its own space guard,
+# or, for a class with none, by a part that does not.  The constants fit
+# every space.
+NAT_MISFITS = {
+    Union: Union((Whole(), WordOpen((Whole(),)))),
+    Intersect: Intersect((WordOpen((Whole(),)),)),
+    UpClosure: UpClosure((NatVal(1), w("a"))),
+    BaseOpen: UA,
+    Rect: Rect(Whole(), Whole()),
+    SumOpen: SumOpen(Whole(), Whole()),
+    WordOpen: WordOpen((Whole(),)),
+    ConcatUp: ConcatUp(Whole(), Whole()),
+    TreeOpen: TreeOpen(Whole(), Whole()),
+    Triangle: Triangle(ONE, Whole()),
+    RTimes: RTimes(EmptyC(), Whole()),
+    PrefixConcat: PrefixConcat(Whole(), Whole()),
+    UpSubstructure: UpSubstructure(Whole()),
+    CarrierOpen: CarrierOpen(DownClosure((w("a"),))),
+    UnionC: UnionC((WholeC(), DownClosure((w("a"),)))),
+    IntersectC: IntersectC((ComplementOf(UA),)),
+    DownClosure: DownClosure((w("a"),)),
+    ComplementOf: ComplementOf(UpSubstructure(Whole())),
+    OrdProduct: OrdProduct((AtMostOne(WholeC()),)),
+}
+FIT_EVERY_SPACE = {Empty, Whole, EmptyC, WholeC}
+
+
+class TestSpaceCheck:
+    """Whether a term fits its space is one rule per class, `check`, run
+    where the term enters the library, so membership, inclusion and
+    extents reject a term that does not fit with one error text."""
+
+    @pytest.mark.parametrize("cls", get_args(OpenExpr) + get_args(ClosedExpr),
+                             ids=lambda cls: cls.__name__)
+    def test_every_set_class_states_its_check(self, cls):
+        assert "check" in vars(cls)
+        assert (cls in FIT_EVERY_SPACE) != (cls in NAT_MISFITS)
+
+    @pytest.mark.parametrize("cls", sorted(NAT_MISFITS, key=lambda c: c.__name__),
+                             ids=lambda cls: cls.__name__)
+    def test_entries_raise_the_same_error(self, cls):
+        u = NAT_MISFITS[cls]
+        # includes takes opens: a closed term goes in as a carrier.
+        as_open = CarrierOpen(u) if isinstance(u, noethkit.sets._ClosedSet) else u
+        texts = set()
+        for ask in (lambda: member_open(Nat(), NatVal(2), u),
+                    lambda: includes(Nat(), as_open, Whole()),
+                    lambda: includes(Nat(), Empty(), as_open),
+                    lambda: extent(Nat(), u, 0)):
+            with pytest.raises(SetError) as info:
+                ask()
+            texts.add(str(info.value))
+        assert len(texts) == 1, texts
+
+
 def _rebuilt(t):
     """A term equal to t, built afresh from the constructors down: no set
     term in it has been hashed."""
@@ -1646,6 +1710,31 @@ def test_point_layout_is_read_through_the_space():
     assert not found
 
 
+def test_member_and_mask_rules_test_no_space():
+    """Whether a term fits its space is decided by its `check` rule, run
+    once at the entry: no `member` or `mask` rule in sets.py tests its
+    space with isinstance or asks `_word_space_base` for the letters."""
+    from noethkit import space as space_mod
+    space_classes = {cls.__name__ for cls in get_args(space_mod.SpaceExpr)}
+    tree = ast.parse(Path(noethkit.sets.__file__).read_text())
+    found = []
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for rule in cls.body:
+            if not (isinstance(rule, ast.FunctionDef)
+                    and rule.name in ("member", "mask")):
+                continue
+            for node in ast.walk(rule):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)):
+                    continue
+                if node.func.id == "_word_space_base" or (
+                        node.func.id == "isinstance" and len(node.args) == 2
+                        and {getattr(part, "id", None) for part in
+                             ast.walk(node.args[1])} & space_classes):
+                    found.append((cls.name, rule.name, node.lineno))
+    assert not found
+
+
 class TestClosureMaskCost:
     """A count guard: the mask of an up-closure typechecks each distinct
     point once and reads the up table, never the checked point order."""
@@ -1687,6 +1776,32 @@ class TestClosureMaskCost:
         assert up_entries() == [len(points)]
         oracle.mask(UpClosure(tuple(reversed(points))))
         assert up_entries() == [len(points)]
+
+
+class TestClosureCheckCost:
+    """A count guard: one membership query typechecks the point asked
+    about, and each distinct point of each closure in its term, once,
+    however many letters read the closures."""
+
+    def test_word_pattern_typechecks_each_closure_point_once(
+            self, monkeypatch):
+        from noethkit import space as space_mod
+        base = finite_qo("abc", [("a", "b")])
+        closures = (UpClosure((Atom("a"), Atom("c"))),
+                    UpClosure((Atom("b"),)),
+                    UpClosure((Atom("c"), Atom("c"))))
+        u = WordOpen(closures)
+        calls = []
+        typecheck = space_mod.typecheck
+
+        def counting_typecheck(space, p):
+            calls.append(p)
+            return typecheck(space, p)
+
+        monkeypatch.setattr(space_mod, "typecheck", counting_typecheck)
+        word = Word(tuple(map(Atom, "cabc")))
+        assert member_open(Words(base), word, u)
+        assert calls == [word, Atom("a"), Atom("c"), Atom("b"), Atom("c")]
 
 
 class TestIndexTableCost:
